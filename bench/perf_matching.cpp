@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "channel/link.hpp"
 #include "core/scheduler.hpp"
@@ -40,6 +41,26 @@ CostMatrix random_costs(int n, std::uint64_t seed) {
   return costs;
 }
 
+/// Tie-heavy costs c_ij = a_i + a_j + noise: with zero noise every perfect
+/// matching costs the same, and the small noise keeps near-ties everywhere.
+/// This is the regime of the deployment engine's cells (most captured
+/// matcher inputs there have several optimal pairings), where the solver
+/// forms many blossoms; uniform random costs barely form any.
+CostMatrix tie_heavy_costs(int n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<double> a(static_cast<std::size_t>(n));
+  for (double& x : a) x = rng.uniform(1.0, 50.0);
+  CostMatrix costs{n};
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      costs.set(i, j,
+                a[static_cast<std::size_t>(i)] + a[static_cast<std::size_t>(j)] +
+                    rng.uniform(0.0, 1e-3));
+    }
+  }
+  return costs;
+}
+
 void BM_BlossomPerfectMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto costs = random_costs(n, 42);
@@ -50,6 +71,20 @@ void BM_BlossomPerfectMatching(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_BlossomPerfectMatching)
+    ->RangeMultiplier(2)
+    ->Range(8, 128)
+    ->Complexity(benchmark::oNCubed);
+
+void BM_BlossomTieHeavy(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto costs = tie_heavy_costs(n, 42);
+  for (auto _ : state) {
+    const auto m = min_weight_perfect_matching(costs);
+    benchmark::DoNotOptimize(m.total_cost);
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_BlossomTieHeavy)
     ->RangeMultiplier(2)
     ->Range(8, 128)
     ->Complexity(benchmark::oNCubed);

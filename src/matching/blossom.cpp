@@ -15,245 +15,342 @@ namespace sic::matching {
 
 namespace {
 
-/// The primal-dual weighted blossom matcher. One instance solves one
-/// problem; all state lives in flat arrays indexed by vertex (0..n-1) or
-/// blossom id (0..2n-1; ids >= n are non-trivial blossoms).
-class BlossomMatcher {
- public:
-  struct Edge {
-    int i;
-    int j;
-    std::int64_t w;
-  };
+/// Slack recorded against "no best edge" (bestedge -1), so that one strict
+/// < both accepts the first candidate and keeps the first of equal-slack
+/// candidates, as the sequential edge-list rules do.
+constexpr std::int64_t kNoSlack = std::numeric_limits<std::int64_t>::max();
 
-  /// Work counters accumulated as plain integers on the hot path and
-  /// published in one batch by max_weight_matching (obs batch idiom).
-  struct SolveStats {
+/// One row of a vertex scan: everything the least-slack pass reads,
+/// hoisted out of the solver so the pass runs in registers.
+struct RowScan {
+  const int* inblossom;
+  const int* label;
+  const std::int64_t* dual;
+  const std::int64_t* weight;   ///< row v of the weight matrix
+  const std::uint8_t* allowed;  ///< row v of the allowed matrix
+  int* bestedge;
+  std::int64_t* bestslack;
+  std::int64_t dv;  ///< v's dual
+  int from;         ///< endpoint(v, w) == from | w
+  int bv;           ///< v's top-level blossom
+  int n;
+};
+
+/// The least-slack pass of a vertex scan over [w, n): edges to other
+/// S-blossoms update v's best edge (\p best, \p best_slack), edges to free
+/// vertices theirs. Stops at the first tight edge to another blossom and
+/// returns its index, or n.
+int scan_until_tight(const RowScan& r, int w, int& best,
+                     std::int64_t& best_slack) {
+  for (; w < r.n; ++w) {
+    const int bw = r.inblossom[w];
+    const std::int64_t kslack = r.dv + r.dual[w] - 2 * r.weight[w];
+    if (bw != r.bv && (r.allowed[w] != 0 || kslack <= 0)) return w;
+    const int lbw = r.label[bw];
+    const int p = r.from | w;
+    const bool take_s = (lbw == 1) & (bw != r.bv) & (kslack < best_slack);
+    best = take_s ? p : best;
+    best_slack = take_s ? kslack : best_slack;
+    const std::int64_t cur = r.bestslack[w];
+    const int cur_edge = r.bestedge[w];
+    const bool take_free = (lbw != 1) & (r.label[w] == 0) & (kslack < cur);
+    r.bestedge[w] = take_free ? p : cur_edge;
+    r.bestslack[w] = take_free ? kslack : cur;
+  }
+  return r.n;
+}
+
+/// The primal-dual weighted blossom matcher on a complete graph, in the
+/// maximum-cardinality mode perfect matching needs. All state lives in
+/// flat arrays indexed by vertex (0..n-1) or blossom id (0..2n-1; ids >= n
+/// are non-trivial blossoms), sized to the largest graph solved so far and
+/// reused by every later solve. Labels: 0 free, 1 S, 2 T; bit 4 marks a
+/// blossom on the scan_blossom trace.
+///
+/// An endpoint is a vertex pair packed as (from << shift_) | to: the end of
+/// edge {from, to} that lies at `to`. It plays the role of the edge-list
+/// formulation's endpoint index p, with flip() for p ^ 1; an edge is named
+/// by either of its endpoints.
+class DenseBlossom {
+ public:
+  struct Stats {
     std::uint64_t stages = 0;
     std::uint64_t augmentations = 0;
     std::uint64_t edge_visits = 0;
     std::uint64_t blossoms_formed = 0;
   };
 
-  BlossomMatcher(int nvertex, std::vector<Edge> edges, bool max_cardinality)
-      : nv_(nvertex), edges_(std::move(edges)), maxcard_(max_cardinality) {
-    const int ne = static_cast<int>(edges_.size());
-    maxweight_ = 0;
-    for (const auto& e : edges_) {
-      SIC_CHECK(e.i >= 0 && e.i < nv_ && e.j >= 0 && e.j < nv_ && e.i != e.j);
-      maxweight_ = std::max(maxweight_, e.w);
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] bool matched(int v) const { return mate_[v] != -1; }
+  /// v's partner after solve(), when matched.
+  [[nodiscard]] int mate(int v) const { return vert(mate_[v]); }
+
+  /// Sizes the state for \p costs and quantizes w = max_cost − cost onto
+  /// an even-integer grid (exact dual arithmetic needs even integer
+  /// weights; evenness keeps delta3 = slack/2 integral).
+  void load(const CostMatrix& costs) {
+    const int n = costs.size();
+    SIC_CHECK_MSG(n <= (1 << 15), "blossom matcher supports n <= 32768");
+    nv_ = n;
+    shift_ = 1;
+    while ((1 << shift_) < n) ++shift_;
+    mask_ = (1 << shift_) - 1;
+    double max_cost = -std::numeric_limits<double>::infinity();
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) max_cost = std::max(max_cost, costs.at(i, j));
     }
-    endpoint_.resize(2 * ne);
-    for (int k = 0; k < ne; ++k) {
-      endpoint_[2 * k] = edges_[k].i;
-      endpoint_[2 * k + 1] = edges_[k].j;
+    double maxabs = 0.0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        maxabs = std::max(maxabs, std::fabs(max_cost - costs.at(i, j)));
+      }
     }
-    neighbend_.resize(nv_);
-    for (int k = 0; k < ne; ++k) {
-      neighbend_[edges_[k].i].push_back(2 * k + 1);
-      neighbend_[edges_[k].j].push_back(2 * k);
+    const double scale =
+        maxabs > 0.0 ? static_cast<double>(std::int64_t{1} << 26) / maxabs : 1.0;
+    const std::size_t un = static_cast<std::size_t>(n);
+    weight_.assign(un * un, 0);
+    std::int64_t maxweight = 0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        const std::int64_t w = 2 * std::llround((max_cost - costs.at(i, j)) * scale);
+        weight_[static_cast<std::size_t>(i) * un + j] = w;
+        weight_[static_cast<std::size_t>(j) * un + i] = w;
+        maxweight = std::max(maxweight, w);
+      }
     }
-    mate_.assign(nv_, -1);
-    label_.assign(2 * nv_, 0);
-    labelend_.assign(2 * nv_, -1);
-    inblossom_.resize(nv_);
-    for (int v = 0; v < nv_; ++v) inblossom_[v] = v;
-    blossomparent_.assign(2 * nv_, -1);
-    blossombase_.resize(2 * nv_);
-    for (int v = 0; v < nv_; ++v) blossombase_[v] = v;
-    for (int b = nv_; b < 2 * nv_; ++b) blossombase_[b] = -1;
-    blossomchilds_.resize(2 * nv_);
-    blossomendps_.resize(2 * nv_);
-    bestedge_.assign(2 * nv_, -1);
-    blossombestedges_.resize(2 * nv_);
-    has_bestedges_.assign(2 * nv_, false);
-    for (int b = 2 * nv_ - 1; b >= nv_; --b) unusedblossoms_.push_back(b);
-    dualvar_.assign(2 * nv_, 0);
-    for (int v = 0; v < nv_; ++v) dualvar_[v] = maxweight_;
-    allowedge_.assign(ne, false);
+    // Per-blossom lists keep their capacity; the outer vectors only grow.
+    if (blossomchilds_.size() < 2 * un) {
+      blossomchilds_.resize(2 * un);
+      blossomendps_.resize(2 * un);
+      blossombestedges_.resize(2 * un);
+    }
+    for (int b = 0; b < 2 * n; ++b) {
+      blossomchilds_[b].clear();
+      blossomendps_[b].clear();
+    }
+    allowed_.resize(un * un);
+    mate_.assign(un, -1);
+    label_.resize(2 * un);
+    labelend_.assign(2 * un, -1);
+    inblossom_.resize(un);
+    blossomparent_.assign(2 * un, -1);
+    blossombase_.assign(2 * un, -1);
+    for (int v = 0; v < n; ++v) inblossom_[v] = blossombase_[v] = v;
+    bestedge_.resize(2 * un);
+    bestslack_.resize(2 * un);
+    has_bestedges_.assign(2 * un, 0);
+    unusedblossoms_.clear();
+    for (int b = 2 * n - 1; b >= n; --b) unusedblossoms_.push_back(b);
+    dualvar_.assign(2 * un, 0);
+    std::fill(dualvar_.begin(), dualvar_.begin() + n, maxweight);
+    bestedgeto_.assign(2 * un, -1);
+    bestslackto_.assign(2 * un, kNoSlack);
+    stats_ = Stats{};
   }
 
-  [[nodiscard]] const SolveStats& stats() const { return stats_; }
-
-  std::vector<int> solve() {
-    if (nv_ == 0) return {};
-    for (int stage = 0; stage < nv_; ++stage) {
+  void solve() {
+    const int n = nv_;
+    for (int stage = 0; stage < n; ++stage) {
       ++stats_.stages;
       std::fill(label_.begin(), label_.end(), 0);
       std::fill(bestedge_.begin(), bestedge_.end(), -1);
-      for (int b = nv_; b < 2 * nv_; ++b) {
+      std::fill(bestslack_.begin(), bestslack_.end(), kNoSlack);
+      for (int b = n; b < 2 * n; ++b) {
         blossombestedges_[b].clear();
-        has_bestedges_[b] = false;
+        has_bestedges_[b] = 0;
       }
-      std::fill(allowedge_.begin(), allowedge_.end(), false);
+      std::fill(allowed_.begin(), allowed_.end(), 0);
       queue_.clear();
-      for (int v = 0; v < nv_; ++v) {
-        if (mate_[v] == -1 && label_[inblossom_[v]] == 0) {
-          assign_label(v, 1, -1);
-        }
+      for (int v = 0; v < n; ++v) {
+        if (mate_[v] == -1 && label_[inblossom_[v]] == 0) assign_label(v, 1, -1);
       }
       bool augmented = false;
       for (;;) {
         while (!queue_.empty() && !augmented) {
           const int v = queue_.back();
           queue_.pop_back();
-          SIC_DCHECK(label_[inblossom_[v]] == 1);
-          for (const int p : neighbend_[v]) {
-            ++stats_.edge_visits;
-            const int k = p / 2;
-            const int w = endpoint_[p];
-            if (inblossom_[v] == inblossom_[w]) continue;
-            std::int64_t kslack = 0;
-            if (!allowedge_[k]) {
-              kslack = slack(k);
-              if (kslack <= 0) allowedge_[k] = true;
-            }
-            if (allowedge_[k]) {
-              if (label_[inblossom_[w]] == 0) {
-                assign_label(w, 2, p ^ 1);
-              } else if (label_[inblossom_[w]] == 1) {
-                const int base = scan_blossom(v, w);
-                if (base >= 0) {
-                  add_blossom(base, k);
-                } else {
-                  augment_matching(k);
-                  augmented = true;
-                  break;
-                }
-              } else if (label_[w] == 0) {
-                SIC_DCHECK(label_[inblossom_[w]] == 2);
-                label_[w] = 2;
-                labelend_[w] = p ^ 1;
-              }
-            } else if (label_[inblossom_[w]] == 1) {
-              const int b = inblossom_[v];
-              if (bestedge_[b] == -1 || kslack < slack(bestedge_[b])) {
-                bestedge_[b] = k;
-              }
-            } else if (label_[w] == 0) {
-              if (bestedge_[w] == -1 || kslack < slack(bestedge_[w])) {
-                bestedge_[w] = k;
-              }
-            }
-          }
+          augmented = scan_vertex(v);
         }
-        if (augmented) break;
-
-        // No augmenting path under the current duals; compute the dual
-        // adjustment delta.
-        int deltatype = -1;
-        std::int64_t delta = 0;
-        int deltaedge = -1;
-        int deltablossom = -1;
-        if (!maxcard_) {
-          deltatype = 1;
-          delta = *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_);
-        }
-        for (int v = 0; v < nv_; ++v) {
-          if (label_[inblossom_[v]] == 0 && bestedge_[v] != -1) {
-            const std::int64_t d = slack(bestedge_[v]);
-            if (deltatype == -1 || d < delta) {
-              delta = d;
-              deltatype = 2;
-              deltaedge = bestedge_[v];
-            }
-          }
-        }
-        for (int b = 0; b < 2 * nv_; ++b) {
-          if (blossomparent_[b] == -1 && label_[b] == 1 &&
-              bestedge_[b] != -1) {
-            const std::int64_t kslack = slack(bestedge_[b]);
-            SIC_DCHECK(kslack % 2 == 0);
-            const std::int64_t d = kslack / 2;
-            if (deltatype == -1 || d < delta) {
-              delta = d;
-              deltatype = 3;
-              deltaedge = bestedge_[b];
-            }
-          }
-        }
-        for (int b = nv_; b < 2 * nv_; ++b) {
-          if (blossombase_[b] >= 0 && blossomparent_[b] == -1 &&
-              label_[b] == 2 && (deltatype == -1 || dualvar_[b] < delta)) {
-            delta = dualvar_[b];
-            deltatype = 4;
-            deltablossom = b;
-          }
-        }
-        if (deltatype == -1) {
-          // Max-cardinality optimum reached; final clean-up delta.
-          SIC_CHECK(maxcard_);
-          deltatype = 1;
-          delta = std::max<std::int64_t>(
-              0, *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_));
-        }
-
-        for (int v = 0; v < nv_; ++v) {
-          const int lbl = label_[inblossom_[v]];
-          if (lbl == 1) {
-            dualvar_[v] -= delta;
-          } else if (lbl == 2) {
-            dualvar_[v] += delta;
-          }
-        }
-        for (int b = nv_; b < 2 * nv_; ++b) {
-          if (blossombase_[b] >= 0 && blossomparent_[b] == -1) {
-            if (label_[b] == 1) {
-              dualvar_[b] += delta;
-            } else if (label_[b] == 2) {
-              dualvar_[b] -= delta;
-            }
-          }
-        }
-
-        if (deltatype == 1) {
-          break;  // optimum reached
-        } else if (deltatype == 2) {
-          allowedge_[deltaedge] = true;
-          int i = edges_[deltaedge].i;
-          if (label_[inblossom_[i]] == 0) i = edges_[deltaedge].j;
-          SIC_DCHECK(label_[inblossom_[i]] == 1);
-          queue_.push_back(i);
-        } else if (deltatype == 3) {
-          allowedge_[deltaedge] = true;
-          const int i = edges_[deltaedge].i;
-          SIC_DCHECK(label_[inblossom_[i]] == 1);
-          queue_.push_back(i);
-        } else {
-          expand_blossom(deltablossom, false);
-        }
+        if (augmented || !update_duals()) break;
       }
-      if (!augmented) break;
+      if (!augmented) break;  // optimum reached
       // End of stage: expand all S-blossoms with zero dual.
-      for (int b = nv_; b < 2 * nv_; ++b) {
+      for (int b = n; b < 2 * n; ++b) {
         if (blossomparent_[b] == -1 && blossombase_[b] >= 0 &&
             label_[b] == 1 && dualvar_[b] == 0) {
           expand_blossom(b, true);
         }
       }
     }
-
-    std::vector<int> result(nv_, -1);
-    for (int v = 0; v < nv_; ++v) {
-      if (mate_[v] >= 0) result[v] = endpoint_[mate_[v]];
-    }
-    for (int v = 0; v < nv_; ++v) {
-      SIC_DCHECK(result[v] == -1 || result[result[v]] == v);
-    }
-    return result;
   }
 
  private:
-  [[nodiscard]] std::int64_t slack(int k) const {
-    return dualvar_[edges_[k].i] + dualvar_[edges_[k].j] - 2 * edges_[k].w;
+  [[nodiscard]] int endpoint(int from, int to) const {
+    return (from << shift_) | to;
+  }
+  [[nodiscard]] int vert(int p) const { return p & mask_; }
+  [[nodiscard]] int other(int p) const { return p >> shift_; }
+  [[nodiscard]] int flip(int p) const { return endpoint(vert(p), other(p)); }
+  [[nodiscard]] int lower(int p) const { return std::min(vert(p), other(p)); }
+  [[nodiscard]] int upper(int p) const { return std::max(vert(p), other(p)); }
+  [[nodiscard]] std::int64_t slack(int p) const {
+    const int a = other(p);
+    const int b = vert(p);
+    return dualvar_[a] + dualvar_[b] -
+           2 * weight_[static_cast<std::size_t>(a) * nv_ + b];
+  }
+  void allow(int p) {
+    const std::size_t a = static_cast<std::size_t>(other(p));
+    const std::size_t b = static_cast<std::size_t>(vert(p));
+    allowed_[a * nv_ + b] = allowed_[b * nv_ + a] = 1;
+  }
+  void set_bestedge(int b, int p, std::int64_t s) {
+    bestedge_[b] = p;
+    bestslack_[b] = s;
   }
 
-  void blossom_leaves(int b, std::vector<int>& out) const {
+  /// Scans the edges of S-vertex v in ascending neighbour order; returns
+  /// true once an augmenting path was found and applied. Duals are fixed
+  /// while the queue drains, so v's dual and weight row are loop
+  /// constants. Tight edges are rare: each ends a least-slack pass, takes
+  /// scan_tight_edge(), and the next pass re-reads the state it changed.
+  bool scan_vertex(int v) {
+    SIC_DCHECK(label_[inblossom_[v]] == 1);
+    const std::size_t row = static_cast<std::size_t>(v) * nv_;
+    RowScan r{inblossom_.data(),    label_.data(),         dualvar_.data(),
+              weight_.data() + row, allowed_.data() + row, bestedge_.data(),
+              bestslack_.data(),    dualvar_[v],           v << shift_,
+              inblossom_[v],        nv_};
+    for (int w = 0;; ++w) {
+      int best = bestedge_[r.bv];
+      std::int64_t best_slack = bestslack_[r.bv];
+      w = scan_until_tight(r, w, best, best_slack);
+      set_bestedge(r.bv, best, best_slack);
+      if (w == nv_) break;
+      if (scan_tight_edge(v, w)) {
+        // Visits counted up to and including the augmenting edge.
+        stats_.edge_visits += static_cast<std::uint64_t>(w + (w < v ? 1 : 0));
+        return true;
+      }
+      r.bv = inblossom_[v];
+    }
+    stats_.edge_visits += static_cast<std::uint64_t>(nv_ - 1);
+    return false;
+  }
+
+  /// The labeling step for a tight edge from S-vertex v to w in another
+  /// top-level blossom; returns true when it augmented.
+  bool scan_tight_edge(int v, int w) {
+    const int p = endpoint(v, w);  // the end of {v, w} at w
+    allow(p);
+    const int lbw = label_[inblossom_[w]];
+    if (lbw == 0) {
+      assign_label(w, 2, flip(p));
+    } else if (lbw == 1) {
+      const int base = scan_blossom(v, w);
+      if (base < 0) {
+        augment_matching(p);
+        return true;
+      }
+      add_blossom(base, p);
+    } else if (label_[w] == 0) {
+      SIC_DCHECK(lbw == 2);
+      label_[w] = 2;
+      labelend_[w] = flip(p);
+    }
+    return false;
+  }
+
+  /// No augmenting path under the current duals: applies the dual
+  /// adjustment delta and acts on the edge or blossom that set it. Returns
+  /// false when the optimum is reached. The edge-list formulation takes
+  /// the first least candidate over delta2 (free vertices), then delta3
+  /// (S-blossoms), then delta4 (T-blossoms); the first least of each kind,
+  /// compared with strict < in that order, is the same choice.
+  bool update_duals() {
+    const int n = nv_;
+    std::int64_t d2 = kNoSlack;
+    int e2 = -1;
+    for (int v = 0; v < n; ++v) {
+      if ((label_[inblossom_[v]] == 0) & (bestslack_[v] < d2)) {
+        d2 = bestslack_[v];
+        e2 = bestedge_[v];
+      }
+    }
+    std::int64_t d3 = kNoSlack;
+    int e3 = -1;
+    std::int64_t d4 = kNoSlack;
+    int b4 = -1;
+    for (int b = 0; b < 2 * n; ++b) {
+      const bool top = blossomparent_[b] == -1;
+      if (top & (label_[b] == 1) & (bestedge_[b] != -1) &
+          (bestslack_[b] / 2 < d3)) {
+        SIC_DCHECK(bestslack_[b] % 2 == 0);
+        d3 = bestslack_[b] / 2;
+        e3 = bestedge_[b];
+      }
+      // Only non-trivial blossoms (b >= n) carry a dual of their own.
+      if (top & (label_[b] == 2) & (blossombase_[b] >= 0) & (b >= n) &
+          (b4 == -1 || dualvar_[b] < d4)) {
+        d4 = dualvar_[b];
+        b4 = b;
+      }
+    }
+    int deltatype = -1;
+    std::int64_t delta = 0;
+    if (e2 != -1) {
+      deltatype = 2;
+      delta = d2;
+    }
+    if (e3 != -1 && (deltatype == -1 || d3 < delta)) {
+      deltatype = 3;
+      delta = d3;
+    }
+    if (b4 != -1 && (deltatype == -1 || d4 < delta)) {
+      deltatype = 4;
+      delta = d4;
+    }
+    if (deltatype == -1) {
+      // Maximum-cardinality optimum reached; final clean-up delta.
+      deltatype = 1;
+      delta = std::max<std::int64_t>(
+          0, *std::min_element(dualvar_.begin(), dualvar_.begin() + n));
+    }
+
+    // S-vertices lose delta, T-vertices gain it; top-level blossom duals
+    // move the other way. The final delta ends the solve: nothing reads
+    // blossom duals or slacks after it.
+    const std::int64_t shift_by[3] = {0, -delta, delta};
+    for (int v = 0; v < n; ++v) dualvar_[v] += shift_by[label_[inblossom_[v]]];
+    if (deltatype == 1) return false;
+    // Slacks moved with the vertex duals: refresh the cached ones.
+    for (int b = 0; b < 2 * n; ++b) {
+      if ((b >= n) & (blossombase_[b] >= 0) & (blossomparent_[b] == -1)) {
+        dualvar_[b] -= shift_by[label_[b]];
+      }
+      if (bestedge_[b] != -1) bestslack_[b] = slack(bestedge_[b]);
+    }
+
+    if (deltatype == 4) {
+      expand_blossom(b4, false);
+      return true;
+    }
+    const int edge = deltatype == 2 ? e2 : e3;
+    allow(edge);
+    // The edge list's edges[k].i, unless (delta2) that end is the free one.
+    int i = lower(edge);
+    if (deltatype == 2 && label_[inblossom_[i]] == 0) i = upper(edge);
+    SIC_DCHECK(label_[inblossom_[i]] == 1);
+    queue_.push_back(i);
+    return true;
+  }
+
+  void append_leaves(int b, std::vector<int>& out) const {
     if (b < nv_) {
       out.push_back(b);
       return;
     }
-    for (const int child : blossomchilds_[b]) blossom_leaves(child, out);
+    for (const int child : blossomchilds_[b]) append_leaves(child, out);
   }
 
   /// Labels the top-level blossom containing w as S (t=1) or T (t=2),
@@ -263,22 +360,21 @@ class BlossomMatcher {
     SIC_DCHECK(label_[w] == 0 && label_[b] == 0);
     label_[w] = label_[b] = t;
     labelend_[w] = labelend_[b] = p;
-    bestedge_[w] = bestedge_[b] = -1;
+    set_bestedge(w, -1, kNoSlack);
+    set_bestedge(b, -1, kNoSlack);
     if (t == 1) {
-      std::vector<int> leaves;
-      blossom_leaves(b, leaves);
-      queue_.insert(queue_.end(), leaves.begin(), leaves.end());
+      append_leaves(b, queue_);
     } else {
-      const int base = blossombase_[b];
-      SIC_DCHECK(mate_[base] >= 0);
-      assign_label(endpoint_[mate_[base]], 1, mate_[base] ^ 1);
+      const int m = mate_[blossombase_[b]];
+      SIC_DCHECK(m >= 0);
+      assign_label(vert(m), 1, flip(m));
     }
   }
 
   /// Traces back from the S-vertices v and w; returns the base of a new
   /// blossom, or -1 if an augmenting path was found instead.
   int scan_blossom(int v, int w) {
-    std::vector<int> path;
+    path_.clear();
     int base = -1;
     while (v != -1 || w != -1) {
       int b = inblossom_[v];
@@ -287,28 +383,28 @@ class BlossomMatcher {
         break;
       }
       SIC_DCHECK(label_[b] == 1);
-      path.push_back(b);
+      path_.push_back(b);
       label_[b] |= 4;
       if (mate_[blossombase_[b]] == -1) {
         v = -1;  // reached a single vertex; swap to the other side
       } else {
-        v = endpoint_[mate_[blossombase_[b]]];
+        v = vert(mate_[blossombase_[b]]);
         b = inblossom_[v];
         SIC_DCHECK(label_[b] == 2);
         SIC_DCHECK(labelend_[b] >= 0);
-        v = endpoint_[labelend_[b]];
+        v = vert(labelend_[b]);
       }
       if (w != -1) std::swap(v, w);
     }
-    for (const int b : path) label_[b] &= ~4;
+    for (const int b : path_) label_[b] &= ~4;
     return base;
   }
 
   /// Shrinks the cycle through edge k with the given base into a new
   /// S-blossom.
   void add_blossom(int base, int k) {
-    int v = edges_[k].i;
-    int w = edges_[k].j;
+    int v = lower(k);
+    int w = upper(k);
     const int bb = inblossom_[base];
     int bv = inblossom_[v];
     int bw = inblossom_[w];
@@ -328,81 +424,82 @@ class BlossomMatcher {
       path.push_back(bv);
       endps.push_back(labelend_[bv]);
       SIC_DCHECK(labelend_[bv] >= 0);
-      v = endpoint_[labelend_[bv]];
+      v = vert(labelend_[bv]);
       bv = inblossom_[v];
     }
     path.push_back(bb);
     std::reverse(path.begin(), path.end());
     std::reverse(endps.begin(), endps.end());
-    endps.push_back(2 * k);
+    endps.push_back(endpoint(upper(k), lower(k)));  // k's end at its lower vertex
     while (bw != bb) {
       blossomparent_[bw] = b;
       path.push_back(bw);
-      endps.push_back(labelend_[bw] ^ 1);
+      endps.push_back(flip(labelend_[bw]));
       SIC_DCHECK(labelend_[bw] >= 0);
-      w = endpoint_[labelend_[bw]];
+      w = vert(labelend_[bw]);
       bw = inblossom_[w];
     }
     SIC_DCHECK(label_[bb] == 1);
     label_[b] = 1;
     labelend_[b] = labelend_[bb];
     dualvar_[b] = 0;
-    std::vector<int> leaves;
-    blossom_leaves(b, leaves);
-    for (const int leaf : leaves) {
+    leaves_.clear();
+    append_leaves(b, leaves_);
+    for (const int leaf : leaves_) {
       if (label_[inblossom_[leaf]] == 2) queue_.push_back(leaf);
       inblossom_[leaf] = b;
     }
-    // Merge least-slack edge lists of the sub-blossoms.
-    std::vector<int> bestedgeto(2 * nv_, -1);
+    // Merge the sub-blossoms' least-slack edges to other S-blossoms. A
+    // child without a list offers every edge of every leaf, in ascending
+    // neighbour order; ties keep the first edge offered.
+    const auto offer = [&](int p, int j, std::int64_t s) {
+      const int bj = inblossom_[j];
+      const bool take = (bj != b) & (label_[bj] == 1) & (s < bestslackto_[bj]);
+      bestedgeto_[bj] = take ? p : bestedgeto_[bj];
+      bestslackto_[bj] = take ? s : bestslackto_[bj];
+    };
     for (const int child : path) {
-      std::vector<std::vector<int>> nblists;
-      if (!has_bestedges_[child]) {
-        std::vector<int> child_leaves;
-        blossom_leaves(child, child_leaves);
-        for (const int leaf : child_leaves) {
-          std::vector<int> ks;
-          ks.reserve(neighbend_[leaf].size());
-          for (const int p : neighbend_[leaf]) ks.push_back(p / 2);
-          nblists.push_back(std::move(ks));
+      if (has_bestedges_[child] == 0) {
+        leaves_.clear();
+        append_leaves(child, leaves_);
+        for (const int leaf : leaves_) {
+          const std::int64_t* row = weight_.data() + static_cast<std::size_t>(leaf) * nv_;
+          for (int j = 0; j < nv_; ++j) {
+            if (j == leaf) continue;
+            offer(endpoint(leaf, j), j, dualvar_[leaf] + dualvar_[j] - 2 * row[j]);
+          }
         }
       } else {
-        nblists.push_back(blossombestedges_[child]);
-      }
-      for (const auto& nblist : nblists) {
-        for (const int ek : nblist) {
-          int j = edges_[ek].j;
-          if (inblossom_[j] == b) j = edges_[ek].i;
-          const int bj = inblossom_[j];
-          if (bj != b && label_[bj] == 1 &&
-              (bestedgeto[bj] == -1 || slack(ek) < slack(bestedgeto[bj]))) {
-            bestedgeto[bj] = ek;
-          }
+        for (const int p : blossombestedges_[child]) {
+          offer(p, inblossom_[vert(p)] == b ? other(p) : vert(p), slack(p));
         }
       }
       blossombestedges_[child].clear();
-      has_bestedges_[child] = false;
-      bestedge_[child] = -1;
+      has_bestedges_[child] = 0;
+      set_bestedge(child, -1, kNoSlack);
     }
-    blossombestedges_[b].clear();
-    for (const int ek : bestedgeto) {
-      if (ek != -1) blossombestedges_[b].push_back(ek);
+    auto& best = blossombestedges_[b];
+    best.clear();
+    set_bestedge(b, -1, kNoSlack);
+    for (int bj = 0; bj < 2 * nv_; ++bj) {
+      const int p = bestedgeto_[bj];
+      if (p == -1) continue;
+      best.push_back(p);
+      if (bestslackto_[bj] < bestslack_[b]) set_bestedge(b, p, bestslackto_[bj]);
+      bestedgeto_[bj] = -1;
+      bestslackto_[bj] = kNoSlack;
     }
-    has_bestedges_[b] = true;
-    bestedge_[b] = -1;
-    for (const int ek : blossombestedges_[b]) {
-      if (bestedge_[b] == -1 || slack(ek) < slack(bestedge_[b])) {
-        bestedge_[b] = ek;
-      }
-    }
+    has_bestedges_[b] = 1;
   }
 
   /// Dissolves blossom b into its children. During a stage (endstage ==
   /// false) a T-blossom's children must be relabeled along the alternating
   /// path from the entry point to the base.
   void expand_blossom(int b, bool endstage) {
-    // Copy: recursive expansion and relabeling mutate child structures.
-    const std::vector<int> childs = blossomchilds_[b];
+    // Nothing below touches b's own child and endpoint lists until they
+    // are cleared at the end, so they are walked in place.
+    const std::vector<int>& childs = blossomchilds_[b];
+    const std::vector<int>& endps = blossomendps_[b];
     for (const int s : childs) {
       blossomparent_[s] = -1;
       if (s < nv_) {
@@ -410,51 +507,42 @@ class BlossomMatcher {
       } else if (endstage && dualvar_[s] == 0) {
         expand_blossom(s, endstage);
       } else {
-        std::vector<int> leaves;
-        blossom_leaves(s, leaves);
-        for (const int leaf : leaves) inblossom_[leaf] = s;
+        leaves_.clear();
+        append_leaves(s, leaves_);
+        for (const int leaf : leaves_) inblossom_[leaf] = s;
       }
     }
     if (!endstage && label_[b] == 2) {
       SIC_DCHECK(labelend_[b] >= 0);
-      const int entrychild = inblossom_[endpoint_[labelend_[b] ^ 1]];
+      const int entrychild = inblossom_[other(labelend_[b])];
       const int len = static_cast<int>(childs.size());
       int j = static_cast<int>(
-          std::find(childs.begin(), childs.end(), entrychild) -
-          childs.begin());
+          std::find(childs.begin(), childs.end(), entrychild) - childs.begin());
       SIC_DCHECK(j < len);
-      int jstep;
-      int endptrick;
-      if (j & 1) {
-        j -= len;
-        jstep = 1;
-        endptrick = 0;
-      } else {
-        jstep = -1;
-        endptrick = 1;
-      }
-      const auto child_at = [&](int idx) {
-        return childs[(idx % len + len) % len];
-      };
+      const bool endptrick = (j & 1) == 0;
+      const int jstep = endptrick ? -1 : 1;
+      if (!endptrick) j -= len;
+      const auto child_at = [&](int idx) { return childs[(idx % len + len) % len]; };
+      // The edge list's endps[j - endptrick] ^ endptrick.
       const auto endp_at = [&](int idx) {
-        const auto& endps = blossomendps_[b];
-        return endps[(idx % len + len) % len];
+        const int p = endps[((idx - (endptrick ? 1 : 0)) % len + len) % len];
+        return endptrick ? flip(p) : p;
       };
       int p = labelend_[b];
       while (j != 0) {
-        label_[endpoint_[p ^ 1]] = 0;
-        label_[endpoint_[endp_at(j - endptrick) ^ endptrick ^ 1]] = 0;
-        assign_label(endpoint_[p ^ 1], 2, p);
-        allowedge_[endp_at(j - endptrick) / 2] = true;
+        label_[other(p)] = 0;
+        label_[other(endp_at(j))] = 0;
+        assign_label(other(p), 2, p);
+        allow(endp_at(j));
         j += jstep;
-        p = endp_at(j - endptrick) ^ endptrick;
-        allowedge_[p / 2] = true;
+        p = endp_at(j);
+        allow(p);
         j += jstep;
       }
       const int bv = child_at(j);
-      label_[endpoint_[p ^ 1]] = label_[bv] = 2;
-      labelend_[endpoint_[p ^ 1]] = labelend_[bv] = p;
-      bestedge_[bv] = -1;
+      label_[other(p)] = label_[bv] = 2;
+      labelend_[other(p)] = labelend_[bv] = p;
+      set_bestedge(bv, -1, kNoSlack);
       j += jstep;
       while (child_at(j) != entrychild) {
         const int bw = child_at(j);
@@ -462,10 +550,10 @@ class BlossomMatcher {
           j += jstep;
           continue;
         }
-        std::vector<int> leaves;
-        blossom_leaves(bw, leaves);
+        leaves_.clear();
+        append_leaves(bw, leaves_);
         int labeled = -1;
-        for (const int leaf : leaves) {
+        for (const int leaf : leaves_) {
           if (label_[leaf] != 0) {
             labeled = leaf;
             break;
@@ -475,7 +563,7 @@ class BlossomMatcher {
           SIC_DCHECK(label_[labeled] == 2);
           SIC_DCHECK(inblossom_[labeled] == bw);
           label_[labeled] = 0;
-          label_[endpoint_[mate_[blossombase_[bw]]]] = 0;
+          label_[vert(mate_[blossombase_[bw]])] = 0;
           assign_label(labeled, 2, labelend_[labeled]);
         }
         j += jstep;
@@ -487,8 +575,8 @@ class BlossomMatcher {
     blossomendps_[b].clear();
     blossombase_[b] = -1;
     blossombestedges_[b].clear();
-    has_bestedges_[b] = false;
-    bestedge_[b] = -1;
+    has_bestedges_[b] = 0;
+    set_bestedge(b, -1, kNoSlack);
     unusedblossoms_.push_back(b);
   }
 
@@ -501,36 +589,27 @@ class BlossomMatcher {
     auto& childs = blossomchilds_[b];
     auto& endps = blossomendps_[b];
     const int len = static_cast<int>(childs.size());
-    const int i = static_cast<int>(
-        std::find(childs.begin(), childs.end(), t) - childs.begin());
+    const int i = static_cast<int>(std::find(childs.begin(), childs.end(), t) -
+                                   childs.begin());
     SIC_DCHECK(i < len);
-    int j = i;
-    int jstep;
-    int endptrick;
-    if (i & 1) {
-      j -= len;
-      jstep = 1;
-      endptrick = 0;
-    } else {
-      jstep = -1;
-      endptrick = 1;
-    }
-    const auto child_at = [&](int idx) {
-      return childs[(idx % len + len) % len];
-    };
+    const bool endptrick = (i & 1) == 0;
+    const int jstep = endptrick ? -1 : 1;
+    int j = endptrick ? i : i - len;
+    const auto child_at = [&](int idx) { return childs[(idx % len + len) % len]; };
     const auto endp_at = [&](int idx) {
-      return endps[(idx % len + len) % len];
+      const int p = endps[((idx - (endptrick ? 1 : 0)) % len + len) % len];
+      return endptrick ? flip(p) : p;
     };
     while (j != 0) {
       j += jstep;
       int tb = child_at(j);
-      const int p = endp_at(j - endptrick) ^ endptrick;
-      if (tb >= nv_) augment_blossom(tb, endpoint_[p]);
+      const int p = endp_at(j);
+      if (tb >= nv_) augment_blossom(tb, vert(p));
       j += jstep;
       tb = child_at(j);
-      if (tb >= nv_) augment_blossom(tb, endpoint_[p ^ 1]);
-      mate_[endpoint_[p]] = p ^ 1;
-      mate_[endpoint_[p ^ 1]] = p;
+      if (tb >= nv_) augment_blossom(tb, other(p));
+      mate_[vert(p)] = flip(p);
+      mate_[other(p)] = p;
     }
     std::rotate(childs.begin(), childs.begin() + i, childs.end());
     std::rotate(endps.begin(), endps.begin() + i, endps.end());
@@ -538,12 +617,13 @@ class BlossomMatcher {
     SIC_DCHECK(blossombase_[b] == v);
   }
 
-  /// Augments the matching along the path through edge k.
+  /// Augments the matching along the path through edge k, from its lower
+  /// end first.
   void augment_matching(int k) {
     ++stats_.augmentations;
-    const int kv = edges_[k].i;
-    const int kw = edges_[k].j;
-    const std::pair<int, int> starts[2] = {{kv, 2 * k + 1}, {kw, 2 * k}};
+    const std::pair<int, int> starts[2] = {
+        {lower(k), endpoint(lower(k), upper(k))},
+        {upper(k), endpoint(upper(k), lower(k))}};
     for (const auto& [start_s, start_p] : starts) {
       int s = start_s;
       int p = start_p;
@@ -554,26 +634,25 @@ class BlossomMatcher {
         if (bs >= nv_) augment_blossom(bs, s);
         mate_[s] = p;
         if (labelend_[bs] == -1) break;  // reached a single vertex
-        const int t = endpoint_[labelend_[bs]];
+        const int t = vert(labelend_[bs]);
         const int bt = inblossom_[t];
         SIC_DCHECK(label_[bt] == 2);
         SIC_DCHECK(labelend_[bt] >= 0);
-        s = endpoint_[labelend_[bt]];
-        const int j = endpoint_[labelend_[bt] ^ 1];
+        s = vert(labelend_[bt]);
+        const int j = other(labelend_[bt]);
         SIC_DCHECK(blossombase_[bt] == t);
         if (bt >= nv_) augment_blossom(bt, j);
         mate_[j] = labelend_[bt];
-        p = labelend_[bt] ^ 1;
+        p = flip(labelend_[bt]);
       }
     }
   }
 
-  int nv_;
-  std::vector<Edge> edges_;
-  bool maxcard_;
-  std::int64_t maxweight_;
-  std::vector<int> endpoint_;
-  std::vector<std::vector<int>> neighbend_;
+  int nv_ = 0;
+  int shift_ = 1;
+  int mask_ = 1;
+  std::vector<std::int64_t> weight_;   ///< n×n quantized weights, mirrored
+  std::vector<std::uint8_t> allowed_;  ///< n×n zero-slack flags, mirrored
   std::vector<int> mate_;
   std::vector<int> label_;
   std::vector<int> labelend_;
@@ -583,56 +662,23 @@ class BlossomMatcher {
   std::vector<std::vector<int>> blossomchilds_;
   std::vector<std::vector<int>> blossomendps_;
   std::vector<int> bestedge_;
+  /// slack(bestedge_[b]), or kNoSlack. Slacks move only in the dual
+  /// update, which refreshes this cache, so it is exact wherever
+  /// bestedge_[b] is set.
+  std::vector<std::int64_t> bestslack_;
   std::vector<std::vector<int>> blossombestedges_;
-  std::vector<char> has_bestedges_;
+  std::vector<std::uint8_t> has_bestedges_;
   std::vector<int> unusedblossoms_;
   std::vector<std::int64_t> dualvar_;
-  std::vector<char> allowedge_;
   std::vector<int> queue_;
-  SolveStats stats_;
+  std::vector<int> leaves_;      ///< blossom-leaf scratch
+  std::vector<int> path_;        ///< scan_blossom trace scratch
+  std::vector<int> bestedgeto_;  ///< add_blossom merge scratch, all -1
+  std::vector<std::int64_t> bestslackto_;  ///< its slacks, all kNoSlack
+  Stats stats_;
 };
 
-/// Quantizes double weights onto an even-integer grid (exact dual
-/// arithmetic requires even integer weights; evenness keeps delta3 =
-/// slack/2 integral).
-std::vector<BlossomMatcher::Edge> quantize(std::span<const WeightedEdge> edges) {
-  double maxabs = 0.0;
-  for (const auto& e : edges) maxabs = std::max(maxabs, std::fabs(e.weight));
-  const double scale =
-      maxabs > 0.0 ? static_cast<double>(std::int64_t{1} << 26) / maxabs : 1.0;
-  std::vector<BlossomMatcher::Edge> out;
-  out.reserve(edges.size());
-  for (const auto& e : edges) {
-    out.push_back(BlossomMatcher::Edge{
-        e.u, e.v, 2 * std::llround(e.weight * scale)});
-  }
-  return out;
-}
-
 }  // namespace
-
-std::vector<int> max_weight_matching(int n,
-                                     std::span<const WeightedEdge> edges,
-                                     bool max_cardinality) {
-  SIC_CHECK(n >= 0);
-  obs::MetricsRegistry* reg = obs::metrics();
-  obs::ScopedTimer timer{
-      reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
-      reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
-  BlossomMatcher matcher{n, quantize(edges), max_cardinality};
-  auto mate = matcher.solve();
-  SIC_CHECK(is_valid_mate_vector(mate));
-  if (reg != nullptr) {
-    const auto& st = matcher.stats();
-    reg->counter("matching.blossom.stages").inc(st.stages);
-    reg->counter("matching.blossom.augmentations").inc(st.augmentations);
-    reg->counter("matching.blossom.edge_visits").inc(st.edge_visits);
-    reg->counter("matching.blossom.blossoms_formed").inc(st.blossoms_formed);
-    reg->counter("matching.blossom.vertices").inc(
-        static_cast<std::uint64_t>(n));
-  }
-  return mate;
-}
 
 Matching min_weight_perfect_matching(const CostMatrix& costs) {
   const int n = costs.size();
@@ -643,32 +689,42 @@ Matching min_weight_perfect_matching(const CostMatrix& costs) {
   }
   Matching result;
   if (n == 0) return result;
-  double max_cost = -std::numeric_limits<double>::infinity();
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) max_cost = std::max(max_cost, costs.at(i, j));
-  }
-  std::vector<WeightedEdge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      edges.push_back(WeightedEdge{i, j, max_cost - costs.at(i, j)});
-    }
-  }
-  const auto mate = max_weight_matching(n, edges, /*max_cardinality=*/true);
+  obs::MetricsRegistry* reg = obs::metrics();
+  obs::ScopedTimer timer{
+      reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
+      reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
+  // One solver state per thread, not per caller: the deployment engine
+  // keeps a PairCostEngine per AP (2025 of them on large layouts), and a
+  // state each would hold every AP's largest n² at once.
+  thread_local DenseBlossom solver;
+  solver.load(costs);
+  solver.solve();
   int unmatched = 0;
   for (int v = 0; v < n; ++v) {
-    if (mate[v] == -1) ++unmatched;
+    if (!solver.matched(v)) {
+      ++unmatched;
+      continue;
+    }
+    const int u = solver.mate(v);
+    SIC_CHECK(u != v && solver.mate(u) == v);
+    if (v < u) {
+      result.pairs.emplace_back(v, u);
+      result.total_cost += costs.at(v, u);
+    }
   }
   if (unmatched != 0) {
     throw MatchingError("blossom matching left " + std::to_string(unmatched) +
                         " of " + std::to_string(n) +
                         " vertices unmatched (matching is not perfect)");
   }
-  for (int v = 0; v < n; ++v) {
-    if (v < mate[v]) {
-      result.pairs.emplace_back(v, mate[v]);
-      result.total_cost += costs.at(v, mate[v]);
-    }
+  if (reg != nullptr) {
+    const auto& st = solver.stats();
+    reg->counter("matching.blossom.stages").inc(st.stages);
+    reg->counter("matching.blossom.augmentations").inc(st.augmentations);
+    reg->counter("matching.blossom.edge_visits").inc(st.edge_visits);
+    reg->counter("matching.blossom.blossoms_formed").inc(st.blossoms_formed);
+    reg->counter("matching.blossom.vertices").inc(
+        static_cast<std::uint64_t>(n));
   }
   return result;
 }

@@ -2,41 +2,37 @@
 #define SICMAC_MATCHING_BLOSSOM_HPP
 
 /// \file blossom.hpp
-/// Edmonds' blossom algorithm for weighted matching in general graphs —
-/// the engine behind the paper's SIC-aware scheduler (Section 6, Fig. 12:
+/// Edmonds' blossom algorithm for minimum-weight perfect matching — the
+/// engine behind the paper's SIC-aware scheduler (Section 6, Fig. 12:
 /// "we approach the problem by reducing SIC-aware scheduling to Edmond's
 /// minimum weight perfect matching algorithm").
 ///
 /// Implementation: Galil's primal-dual formulation with blossom shrinking
 /// and lazy least-slack edge tracking (the van Rantwijk arrangement),
-/// O(n³) for dense graphs. Edge weights are quantized onto an exact
-/// integer grid internally (relative precision ≈ 2⁻²⁶) so the dual updates
-/// never accumulate floating-point drift; results are exact optima of the
-/// quantized instance. Correctness is cross-checked against an exponential
-/// oracle in tests/matching_blossom_test.cpp.
-
-#include <span>
-#include <vector>
+/// specialised to the complete graphs the scheduler builds: weights live
+/// in a dense n×n matrix, so a vertex scan streams one contiguous row, and
+/// the solver state is reused across calls on the same thread, so a warm
+/// thread allocates nothing. O(n³).
+///
+/// Edge weights are quantized onto an exact integer grid (relative
+/// precision ≈ 2⁻²⁶) so the dual updates never accumulate floating-point
+/// drift; results are exact optima of the quantized instance. Where several
+/// optima tie, the solver returns the one the general edge-list formulation
+/// returns for the same complete graph, doing the same work;
+/// tests/matching_dense_identity_test.cpp pins that against the reference
+/// kept in tests/support. Correctness is cross-checked against an
+/// exponential oracle in tests/matching_blossom_test.cpp.
 
 #include "matching/graph.hpp"
 
 namespace sic::matching {
 
-/// Maximum-weight matching over an undirected edge list.
-///
-/// \param n vertex count; vertices are 0..n-1.
-/// \param edges undirected weighted edges (no self-loops; parallel edges
-///        allowed, the heavier one wins).
-/// \param max_cardinality when true, only maximum-cardinality matchings are
-///        considered and weight is maximized among them.
-/// \return mate vector: mate[v] is v's partner or -1 when single.
-[[nodiscard]] std::vector<int> max_weight_matching(
-    int n, std::span<const WeightedEdge> edges, bool max_cardinality = false);
-
 /// Minimum-weight perfect matching on the complete graph described by
 /// \p costs. Requires an even vertex count (the scheduler adds the dummy
-/// client for odd counts before calling this). Implemented via the standard
-/// reduction w' = max_cost − cost with max-cardinality matching.
+/// client for odd counts before calling this) and throws MatchingError
+/// otherwise. Implemented via the standard reduction w' = max_cost − cost
+/// with max-cardinality matching. Publishes matching.blossom.* work
+/// counters when a metrics registry is attached.
 [[nodiscard]] Matching min_weight_perfect_matching(const CostMatrix& costs);
 
 }  // namespace sic::matching

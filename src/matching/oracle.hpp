@@ -2,10 +2,10 @@
 #define SICMAC_MATCHING_ORACLE_HPP
 
 /// \file oracle.hpp
-/// Exponential exact matchers used as ground truth in tests. Bitmask DP over
-/// vertex subsets: O(2ⁿ·n) time, O(2ⁿ) space — practical to n ≈ 20.
-
-#include <optional>
+/// Exponential exact matcher used as ground truth in tests and benches.
+/// Bitmask DP over vertex subsets: O(2ⁿ·n) time, O(2ⁿ) space — practical to
+/// n ≈ 20. (The general-graph oracle lives in tests/support with the
+/// edge-list matcher it checks.)
 
 #include "matching/graph.hpp"
 
@@ -14,16 +14,6 @@ namespace sic::matching {
 /// Minimum-weight perfect matching by subset DP. Requires even n.
 /// The result's pairs are sorted by first vertex.
 [[nodiscard]] Matching min_weight_perfect_matching_oracle(const CostMatrix& costs);
-
-/// Maximum-weight matching (not necessarily perfect) by subset DP over the
-/// given edge list; vertices may stay single. Returns the mate vector and
-/// achieved weight.
-struct OracleMatching {
-  std::vector<int> mate;
-  double total_weight = 0.0;
-};
-[[nodiscard]] OracleMatching max_weight_matching_oracle(
-    int n, std::span<const WeightedEdge> edges, bool max_cardinality);
 
 }  // namespace sic::matching
 

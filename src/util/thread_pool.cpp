@@ -25,6 +25,7 @@ ThreadPool::~ThreadPool() {
 
 int ThreadPool::resolve(int requested) {
   if (requested > 0) return requested;
+  if (requested < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max(1, static_cast<int>(hw));
 }

@@ -48,8 +48,9 @@ class ThreadPool {
   /// remaining range is abandoned and the first exception is rethrown here.
   void parallel_for(std::int64_t n, std::int64_t chunk, const ChunkFn& body);
 
-  /// CLI convention: 0 -> hardware concurrency (at least 1), otherwise the
-  /// requested count clamped to >= 1.
+  /// CLI convention: 0 -> hardware concurrency (at least 1), a positive
+  /// count -> itself, and any negative count -> 1 (a single inline thread,
+  /// never the hardware count).
   [[nodiscard]] static int resolve(int requested);
 
  private:

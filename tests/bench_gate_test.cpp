@@ -38,6 +38,21 @@ TEST(ParseFlatJson, ThrowsOnNonObjectAndTruncation) {
   EXPECT_THROW((void)parse_flat_json("{\"a\" 1}"), std::runtime_error);
 }
 
+TEST(ParseFlatJson, DuplicateNumericKeyIsATypedErrorNamingTheKey) {
+  try {
+    (void)parse_flat_json("{\"a\":1,\"epoch_per_sec\":2,\"epoch_per_sec\":3}");
+    FAIL() << "duplicate numeric key accepted";
+  } catch (const DuplicateKeyError& e) {
+    EXPECT_EQ(e.key(), "epoch_per_sec");
+    EXPECT_NE(std::string{e.what()}.find("epoch_per_sec"), std::string::npos);
+  }
+  // Skipped (string-valued) keys may repeat: the spliced deployment
+  // summary carries two "bench" tags.
+  const auto m = parse_flat_json(
+      "{\"bench\":\"deployment\",\"x\":1,\"bench\":\"perf_deployment\",\"y\":2}");
+  EXPECT_EQ(m.size(), 2u);
+}
+
 TEST(ParsePin, DefaultsAndSuffixes) {
   const Pin plain = parse_pin("samples_per_sec", 0.10);
   EXPECT_EQ(plain.key, "samples_per_sec");

@@ -7,10 +7,17 @@
 
 #include "matching/error.hpp"
 #include "matching/oracle.hpp"
+#include "support/blossom_reference.hpp"
+#include "support/oracle_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sic::matching {
 namespace {
+
+// The general-graph cases exercise the edge-list reference; the
+// MinWeightPerfect cases exercise the library's dense solver.
+using reference::max_weight_matching;
+using reference::max_weight_matching_oracle;
 
 double matching_weight(const std::vector<int>& mate,
                        std::span<const WeightedEdge> edges) {

@@ -4,10 +4,13 @@
 
 #include <vector>
 
+#include "support/oracle_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sic::matching {
 namespace {
+
+using reference::max_weight_matching_oracle;
 
 TEST(Oracle, TwoVertices) {
   CostMatrix costs{2};

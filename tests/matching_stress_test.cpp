@@ -1,7 +1,9 @@
-/// Structured stress tests for the weighted blossom matcher: graph shapes
+/// Structured stress tests for the weighted blossom matchers: graph shapes
 /// (paths, cycles, stars, bipartite, metric-plane instances) that exercise
 /// specific blossom behaviors, all cross-checked against the exponential
-/// oracle.
+/// oracle. General (non-complete) graphs run through the edge-list
+/// reference in tests/support; complete graphs through the library's
+/// dense solver.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,15 @@
 
 #include "matching/blossom.hpp"
 #include "matching/oracle.hpp"
+#include "support/blossom_reference.hpp"
+#include "support/oracle_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sic::matching {
 namespace {
+
+using reference::max_weight_matching;
+using reference::max_weight_matching_oracle;
 
 double matching_weight(const std::vector<int>& mate,
                        std::span<const WeightedEdge> edges) {

@@ -275,6 +275,21 @@ TEST(SicLint, R5AllowsDownwardAndSameLayerIncludes) {
   EXPECT_TRUE(lint_file("bench/bench_pairing.cpp", src).empty());
 }
 
+TEST(SicLint, R5KeepsTestSupportOutOfTheLibrary) {
+  const std::string src =
+      "#include \"matching/graph.hpp\"\n"
+      "#include \"support/blossom_reference.hpp\"\n";
+  for (const char* path : {"src/matching/blossom.cpp", "src/sicmac.hpp"}) {
+    const auto findings = lint_file(path, src);
+    ASSERT_EQ(findings.size(), 1u) << path;
+    EXPECT_EQ(findings[0].rule, "R5");
+    EXPECT_EQ(findings[0].line, 2);
+    EXPECT_NE(findings[0].message.find("test-support"), std::string::npos);
+  }
+  // Tests are where the reference implementations belong.
+  EXPECT_TRUE(lint_file("tests/matching_dense_identity_test.cpp", src).empty());
+}
+
 TEST(SicLint, R5CycleDetectionPrintsFullPath) {
   // The cycle spans three same-layer headers, so no back-edge fires — only
   // the cross-file cycle analysis can reject it.

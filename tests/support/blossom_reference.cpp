@@ -1,0 +1,676 @@
+#include "support/blossom_reference.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "matching/error.hpp"
+#include "obs/metrics.hpp"
+#include "obs/scoped_timer.hpp"
+#include "util/check.hpp"
+
+namespace sic::matching::reference {
+
+namespace {
+
+/// The primal-dual weighted blossom matcher. One instance solves one
+/// problem; all state lives in flat arrays indexed by vertex (0..n-1) or
+/// blossom id (0..2n-1; ids >= n are non-trivial blossoms).
+class BlossomMatcher {
+ public:
+  struct Edge {
+    int i;
+    int j;
+    std::int64_t w;
+  };
+
+  /// Work counters accumulated as plain integers on the hot path and
+  /// published in one batch by max_weight_matching (obs batch idiom).
+  struct SolveStats {
+    std::uint64_t stages = 0;
+    std::uint64_t augmentations = 0;
+    std::uint64_t edge_visits = 0;
+    std::uint64_t blossoms_formed = 0;
+  };
+
+  BlossomMatcher(int nvertex, std::vector<Edge> edges, bool max_cardinality)
+      : nv_(nvertex), edges_(std::move(edges)), maxcard_(max_cardinality) {
+    const int ne = static_cast<int>(edges_.size());
+    maxweight_ = 0;
+    for (const auto& e : edges_) {
+      SIC_CHECK(e.i >= 0 && e.i < nv_ && e.j >= 0 && e.j < nv_ && e.i != e.j);
+      maxweight_ = std::max(maxweight_, e.w);
+    }
+    endpoint_.resize(2 * ne);
+    for (int k = 0; k < ne; ++k) {
+      endpoint_[2 * k] = edges_[k].i;
+      endpoint_[2 * k + 1] = edges_[k].j;
+    }
+    neighbend_.resize(nv_);
+    for (int k = 0; k < ne; ++k) {
+      neighbend_[edges_[k].i].push_back(2 * k + 1);
+      neighbend_[edges_[k].j].push_back(2 * k);
+    }
+    mate_.assign(nv_, -1);
+    label_.assign(2 * nv_, 0);
+    labelend_.assign(2 * nv_, -1);
+    inblossom_.resize(nv_);
+    for (int v = 0; v < nv_; ++v) inblossom_[v] = v;
+    blossomparent_.assign(2 * nv_, -1);
+    blossombase_.resize(2 * nv_);
+    for (int v = 0; v < nv_; ++v) blossombase_[v] = v;
+    for (int b = nv_; b < 2 * nv_; ++b) blossombase_[b] = -1;
+    blossomchilds_.resize(2 * nv_);
+    blossomendps_.resize(2 * nv_);
+    bestedge_.assign(2 * nv_, -1);
+    blossombestedges_.resize(2 * nv_);
+    has_bestedges_.assign(2 * nv_, false);
+    for (int b = 2 * nv_ - 1; b >= nv_; --b) unusedblossoms_.push_back(b);
+    dualvar_.assign(2 * nv_, 0);
+    for (int v = 0; v < nv_; ++v) dualvar_[v] = maxweight_;
+    allowedge_.assign(ne, false);
+  }
+
+  [[nodiscard]] const SolveStats& stats() const { return stats_; }
+
+  std::vector<int> solve() {
+    if (nv_ == 0) return {};
+    for (int stage = 0; stage < nv_; ++stage) {
+      ++stats_.stages;
+      std::fill(label_.begin(), label_.end(), 0);
+      std::fill(bestedge_.begin(), bestedge_.end(), -1);
+      for (int b = nv_; b < 2 * nv_; ++b) {
+        blossombestedges_[b].clear();
+        has_bestedges_[b] = false;
+      }
+      std::fill(allowedge_.begin(), allowedge_.end(), false);
+      queue_.clear();
+      for (int v = 0; v < nv_; ++v) {
+        if (mate_[v] == -1 && label_[inblossom_[v]] == 0) {
+          assign_label(v, 1, -1);
+        }
+      }
+      bool augmented = false;
+      for (;;) {
+        while (!queue_.empty() && !augmented) {
+          const int v = queue_.back();
+          queue_.pop_back();
+          SIC_DCHECK(label_[inblossom_[v]] == 1);
+          for (const int p : neighbend_[v]) {
+            ++stats_.edge_visits;
+            const int k = p / 2;
+            const int w = endpoint_[p];
+            if (inblossom_[v] == inblossom_[w]) continue;
+            std::int64_t kslack = 0;
+            if (!allowedge_[k]) {
+              kslack = slack(k);
+              if (kslack <= 0) allowedge_[k] = true;
+            }
+            if (allowedge_[k]) {
+              if (label_[inblossom_[w]] == 0) {
+                assign_label(w, 2, p ^ 1);
+              } else if (label_[inblossom_[w]] == 1) {
+                const int base = scan_blossom(v, w);
+                if (base >= 0) {
+                  add_blossom(base, k);
+                } else {
+                  augment_matching(k);
+                  augmented = true;
+                  break;
+                }
+              } else if (label_[w] == 0) {
+                SIC_DCHECK(label_[inblossom_[w]] == 2);
+                label_[w] = 2;
+                labelend_[w] = p ^ 1;
+              }
+            } else if (label_[inblossom_[w]] == 1) {
+              const int b = inblossom_[v];
+              if (bestedge_[b] == -1 || kslack < slack(bestedge_[b])) {
+                bestedge_[b] = k;
+              }
+            } else if (label_[w] == 0) {
+              if (bestedge_[w] == -1 || kslack < slack(bestedge_[w])) {
+                bestedge_[w] = k;
+              }
+            }
+          }
+        }
+        if (augmented) break;
+
+        // No augmenting path under the current duals; compute the dual
+        // adjustment delta.
+        int deltatype = -1;
+        std::int64_t delta = 0;
+        int deltaedge = -1;
+        int deltablossom = -1;
+        if (!maxcard_) {
+          deltatype = 1;
+          delta = *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_);
+        }
+        for (int v = 0; v < nv_; ++v) {
+          if (label_[inblossom_[v]] == 0 && bestedge_[v] != -1) {
+            const std::int64_t d = slack(bestedge_[v]);
+            if (deltatype == -1 || d < delta) {
+              delta = d;
+              deltatype = 2;
+              deltaedge = bestedge_[v];
+            }
+          }
+        }
+        for (int b = 0; b < 2 * nv_; ++b) {
+          if (blossomparent_[b] == -1 && label_[b] == 1 &&
+              bestedge_[b] != -1) {
+            const std::int64_t kslack = slack(bestedge_[b]);
+            SIC_DCHECK(kslack % 2 == 0);
+            const std::int64_t d = kslack / 2;
+            if (deltatype == -1 || d < delta) {
+              delta = d;
+              deltatype = 3;
+              deltaedge = bestedge_[b];
+            }
+          }
+        }
+        for (int b = nv_; b < 2 * nv_; ++b) {
+          if (blossombase_[b] >= 0 && blossomparent_[b] == -1 &&
+              label_[b] == 2 && (deltatype == -1 || dualvar_[b] < delta)) {
+            delta = dualvar_[b];
+            deltatype = 4;
+            deltablossom = b;
+          }
+        }
+        if (deltatype == -1) {
+          // Max-cardinality optimum reached; final clean-up delta.
+          SIC_CHECK(maxcard_);
+          deltatype = 1;
+          delta = std::max<std::int64_t>(
+              0, *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_));
+        }
+
+        for (int v = 0; v < nv_; ++v) {
+          const int lbl = label_[inblossom_[v]];
+          if (lbl == 1) {
+            dualvar_[v] -= delta;
+          } else if (lbl == 2) {
+            dualvar_[v] += delta;
+          }
+        }
+        for (int b = nv_; b < 2 * nv_; ++b) {
+          if (blossombase_[b] >= 0 && blossomparent_[b] == -1) {
+            if (label_[b] == 1) {
+              dualvar_[b] += delta;
+            } else if (label_[b] == 2) {
+              dualvar_[b] -= delta;
+            }
+          }
+        }
+
+        if (deltatype == 1) {
+          break;  // optimum reached
+        } else if (deltatype == 2) {
+          allowedge_[deltaedge] = true;
+          int i = edges_[deltaedge].i;
+          if (label_[inblossom_[i]] == 0) i = edges_[deltaedge].j;
+          SIC_DCHECK(label_[inblossom_[i]] == 1);
+          queue_.push_back(i);
+        } else if (deltatype == 3) {
+          allowedge_[deltaedge] = true;
+          const int i = edges_[deltaedge].i;
+          SIC_DCHECK(label_[inblossom_[i]] == 1);
+          queue_.push_back(i);
+        } else {
+          expand_blossom(deltablossom, false);
+        }
+      }
+      if (!augmented) break;
+      // End of stage: expand all S-blossoms with zero dual.
+      for (int b = nv_; b < 2 * nv_; ++b) {
+        if (blossomparent_[b] == -1 && blossombase_[b] >= 0 &&
+            label_[b] == 1 && dualvar_[b] == 0) {
+          expand_blossom(b, true);
+        }
+      }
+    }
+
+    std::vector<int> result(nv_, -1);
+    for (int v = 0; v < nv_; ++v) {
+      if (mate_[v] >= 0) result[v] = endpoint_[mate_[v]];
+    }
+    for (int v = 0; v < nv_; ++v) {
+      SIC_DCHECK(result[v] == -1 || result[result[v]] == v);
+    }
+    return result;
+  }
+
+ private:
+  [[nodiscard]] std::int64_t slack(int k) const {
+    return dualvar_[edges_[k].i] + dualvar_[edges_[k].j] - 2 * edges_[k].w;
+  }
+
+  void blossom_leaves(int b, std::vector<int>& out) const {
+    if (b < nv_) {
+      out.push_back(b);
+      return;
+    }
+    for (const int child : blossomchilds_[b]) blossom_leaves(child, out);
+  }
+
+  /// Labels the top-level blossom containing w as S (t=1) or T (t=2),
+  /// entered through endpoint p.
+  void assign_label(int w, int t, int p) {
+    const int b = inblossom_[w];
+    SIC_DCHECK(label_[w] == 0 && label_[b] == 0);
+    label_[w] = label_[b] = t;
+    labelend_[w] = labelend_[b] = p;
+    bestedge_[w] = bestedge_[b] = -1;
+    if (t == 1) {
+      std::vector<int> leaves;
+      blossom_leaves(b, leaves);
+      queue_.insert(queue_.end(), leaves.begin(), leaves.end());
+    } else {
+      const int base = blossombase_[b];
+      SIC_DCHECK(mate_[base] >= 0);
+      assign_label(endpoint_[mate_[base]], 1, mate_[base] ^ 1);
+    }
+  }
+
+  /// Traces back from the S-vertices v and w; returns the base of a new
+  /// blossom, or -1 if an augmenting path was found instead.
+  int scan_blossom(int v, int w) {
+    std::vector<int> path;
+    int base = -1;
+    while (v != -1 || w != -1) {
+      int b = inblossom_[v];
+      if (label_[b] & 4) {
+        base = blossombase_[b];
+        break;
+      }
+      SIC_DCHECK(label_[b] == 1);
+      path.push_back(b);
+      label_[b] |= 4;
+      if (mate_[blossombase_[b]] == -1) {
+        v = -1;  // reached a single vertex; swap to the other side
+      } else {
+        v = endpoint_[mate_[blossombase_[b]]];
+        b = inblossom_[v];
+        SIC_DCHECK(label_[b] == 2);
+        SIC_DCHECK(labelend_[b] >= 0);
+        v = endpoint_[labelend_[b]];
+      }
+      if (w != -1) std::swap(v, w);
+    }
+    for (const int b : path) label_[b] &= ~4;
+    return base;
+  }
+
+  /// Shrinks the cycle through edge k with the given base into a new
+  /// S-blossom.
+  void add_blossom(int base, int k) {
+    int v = edges_[k].i;
+    int w = edges_[k].j;
+    const int bb = inblossom_[base];
+    int bv = inblossom_[v];
+    int bw = inblossom_[w];
+    SIC_CHECK_MSG(!unusedblossoms_.empty(), "blossom ids exhausted");
+    ++stats_.blossoms_formed;
+    const int b = unusedblossoms_.back();
+    unusedblossoms_.pop_back();
+    blossombase_[b] = base;
+    blossomparent_[b] = -1;
+    blossomparent_[bb] = b;
+    auto& path = blossomchilds_[b];
+    auto& endps = blossomendps_[b];
+    path.clear();
+    endps.clear();
+    while (bv != bb) {
+      blossomparent_[bv] = b;
+      path.push_back(bv);
+      endps.push_back(labelend_[bv]);
+      SIC_DCHECK(labelend_[bv] >= 0);
+      v = endpoint_[labelend_[bv]];
+      bv = inblossom_[v];
+    }
+    path.push_back(bb);
+    std::reverse(path.begin(), path.end());
+    std::reverse(endps.begin(), endps.end());
+    endps.push_back(2 * k);
+    while (bw != bb) {
+      blossomparent_[bw] = b;
+      path.push_back(bw);
+      endps.push_back(labelend_[bw] ^ 1);
+      SIC_DCHECK(labelend_[bw] >= 0);
+      w = endpoint_[labelend_[bw]];
+      bw = inblossom_[w];
+    }
+    SIC_DCHECK(label_[bb] == 1);
+    label_[b] = 1;
+    labelend_[b] = labelend_[bb];
+    dualvar_[b] = 0;
+    std::vector<int> leaves;
+    blossom_leaves(b, leaves);
+    for (const int leaf : leaves) {
+      if (label_[inblossom_[leaf]] == 2) queue_.push_back(leaf);
+      inblossom_[leaf] = b;
+    }
+    // Merge least-slack edge lists of the sub-blossoms.
+    std::vector<int> bestedgeto(2 * nv_, -1);
+    for (const int child : path) {
+      std::vector<std::vector<int>> nblists;
+      if (!has_bestedges_[child]) {
+        std::vector<int> child_leaves;
+        blossom_leaves(child, child_leaves);
+        for (const int leaf : child_leaves) {
+          std::vector<int> ks;
+          ks.reserve(neighbend_[leaf].size());
+          for (const int p : neighbend_[leaf]) ks.push_back(p / 2);
+          nblists.push_back(std::move(ks));
+        }
+      } else {
+        nblists.push_back(blossombestedges_[child]);
+      }
+      for (const auto& nblist : nblists) {
+        for (const int ek : nblist) {
+          int j = edges_[ek].j;
+          if (inblossom_[j] == b) j = edges_[ek].i;
+          const int bj = inblossom_[j];
+          if (bj != b && label_[bj] == 1 &&
+              (bestedgeto[bj] == -1 || slack(ek) < slack(bestedgeto[bj]))) {
+            bestedgeto[bj] = ek;
+          }
+        }
+      }
+      blossombestedges_[child].clear();
+      has_bestedges_[child] = false;
+      bestedge_[child] = -1;
+    }
+    blossombestedges_[b].clear();
+    for (const int ek : bestedgeto) {
+      if (ek != -1) blossombestedges_[b].push_back(ek);
+    }
+    has_bestedges_[b] = true;
+    bestedge_[b] = -1;
+    for (const int ek : blossombestedges_[b]) {
+      if (bestedge_[b] == -1 || slack(ek) < slack(bestedge_[b])) {
+        bestedge_[b] = ek;
+      }
+    }
+  }
+
+  /// Dissolves blossom b into its children. During a stage (endstage ==
+  /// false) a T-blossom's children must be relabeled along the alternating
+  /// path from the entry point to the base.
+  void expand_blossom(int b, bool endstage) {
+    // Copy: recursive expansion and relabeling mutate child structures.
+    const std::vector<int> childs = blossomchilds_[b];
+    for (const int s : childs) {
+      blossomparent_[s] = -1;
+      if (s < nv_) {
+        inblossom_[s] = s;
+      } else if (endstage && dualvar_[s] == 0) {
+        expand_blossom(s, endstage);
+      } else {
+        std::vector<int> leaves;
+        blossom_leaves(s, leaves);
+        for (const int leaf : leaves) inblossom_[leaf] = s;
+      }
+    }
+    if (!endstage && label_[b] == 2) {
+      SIC_DCHECK(labelend_[b] >= 0);
+      const int entrychild = inblossom_[endpoint_[labelend_[b] ^ 1]];
+      const int len = static_cast<int>(childs.size());
+      int j = static_cast<int>(
+          std::find(childs.begin(), childs.end(), entrychild) -
+          childs.begin());
+      SIC_DCHECK(j < len);
+      int jstep;
+      int endptrick;
+      if (j & 1) {
+        j -= len;
+        jstep = 1;
+        endptrick = 0;
+      } else {
+        jstep = -1;
+        endptrick = 1;
+      }
+      const auto child_at = [&](int idx) {
+        return childs[(idx % len + len) % len];
+      };
+      const auto endp_at = [&](int idx) {
+        const auto& endps = blossomendps_[b];
+        return endps[(idx % len + len) % len];
+      };
+      int p = labelend_[b];
+      while (j != 0) {
+        label_[endpoint_[p ^ 1]] = 0;
+        label_[endpoint_[endp_at(j - endptrick) ^ endptrick ^ 1]] = 0;
+        assign_label(endpoint_[p ^ 1], 2, p);
+        allowedge_[endp_at(j - endptrick) / 2] = true;
+        j += jstep;
+        p = endp_at(j - endptrick) ^ endptrick;
+        allowedge_[p / 2] = true;
+        j += jstep;
+      }
+      const int bv = child_at(j);
+      label_[endpoint_[p ^ 1]] = label_[bv] = 2;
+      labelend_[endpoint_[p ^ 1]] = labelend_[bv] = p;
+      bestedge_[bv] = -1;
+      j += jstep;
+      while (child_at(j) != entrychild) {
+        const int bw = child_at(j);
+        if (label_[bw] == 1) {
+          j += jstep;
+          continue;
+        }
+        std::vector<int> leaves;
+        blossom_leaves(bw, leaves);
+        int labeled = -1;
+        for (const int leaf : leaves) {
+          if (label_[leaf] != 0) {
+            labeled = leaf;
+            break;
+          }
+        }
+        if (labeled != -1) {
+          SIC_DCHECK(label_[labeled] == 2);
+          SIC_DCHECK(inblossom_[labeled] == bw);
+          label_[labeled] = 0;
+          label_[endpoint_[mate_[blossombase_[bw]]]] = 0;
+          assign_label(labeled, 2, labelend_[labeled]);
+        }
+        j += jstep;
+      }
+    }
+    label_[b] = -1;
+    labelend_[b] = -1;
+    blossomchilds_[b].clear();
+    blossomendps_[b].clear();
+    blossombase_[b] = -1;
+    blossombestedges_[b].clear();
+    has_bestedges_[b] = false;
+    bestedge_[b] = -1;
+    unusedblossoms_.push_back(b);
+  }
+
+  /// Swaps matched/unmatched edges inside blossom b so that vertex v
+  /// becomes the blossom's base.
+  void augment_blossom(int b, int v) {
+    int t = v;
+    while (blossomparent_[t] != b) t = blossomparent_[t];
+    if (t >= nv_) augment_blossom(t, v);
+    auto& childs = blossomchilds_[b];
+    auto& endps = blossomendps_[b];
+    const int len = static_cast<int>(childs.size());
+    const int i = static_cast<int>(
+        std::find(childs.begin(), childs.end(), t) - childs.begin());
+    SIC_DCHECK(i < len);
+    int j = i;
+    int jstep;
+    int endptrick;
+    if (i & 1) {
+      j -= len;
+      jstep = 1;
+      endptrick = 0;
+    } else {
+      jstep = -1;
+      endptrick = 1;
+    }
+    const auto child_at = [&](int idx) {
+      return childs[(idx % len + len) % len];
+    };
+    const auto endp_at = [&](int idx) {
+      return endps[(idx % len + len) % len];
+    };
+    while (j != 0) {
+      j += jstep;
+      int tb = child_at(j);
+      const int p = endp_at(j - endptrick) ^ endptrick;
+      if (tb >= nv_) augment_blossom(tb, endpoint_[p]);
+      j += jstep;
+      tb = child_at(j);
+      if (tb >= nv_) augment_blossom(tb, endpoint_[p ^ 1]);
+      mate_[endpoint_[p]] = p ^ 1;
+      mate_[endpoint_[p ^ 1]] = p;
+    }
+    std::rotate(childs.begin(), childs.begin() + i, childs.end());
+    std::rotate(endps.begin(), endps.begin() + i, endps.end());
+    blossombase_[b] = blossombase_[childs.front()];
+    SIC_DCHECK(blossombase_[b] == v);
+  }
+
+  /// Augments the matching along the path through edge k.
+  void augment_matching(int k) {
+    ++stats_.augmentations;
+    const int kv = edges_[k].i;
+    const int kw = edges_[k].j;
+    const std::pair<int, int> starts[2] = {{kv, 2 * k + 1}, {kw, 2 * k}};
+    for (const auto& [start_s, start_p] : starts) {
+      int s = start_s;
+      int p = start_p;
+      for (;;) {
+        const int bs = inblossom_[s];
+        SIC_DCHECK(label_[bs] == 1);
+        SIC_DCHECK(labelend_[bs] == mate_[blossombase_[bs]]);
+        if (bs >= nv_) augment_blossom(bs, s);
+        mate_[s] = p;
+        if (labelend_[bs] == -1) break;  // reached a single vertex
+        const int t = endpoint_[labelend_[bs]];
+        const int bt = inblossom_[t];
+        SIC_DCHECK(label_[bt] == 2);
+        SIC_DCHECK(labelend_[bt] >= 0);
+        s = endpoint_[labelend_[bt]];
+        const int j = endpoint_[labelend_[bt] ^ 1];
+        SIC_DCHECK(blossombase_[bt] == t);
+        if (bt >= nv_) augment_blossom(bt, j);
+        mate_[j] = labelend_[bt];
+        p = labelend_[bt] ^ 1;
+      }
+    }
+  }
+
+  int nv_;
+  std::vector<Edge> edges_;
+  bool maxcard_;
+  std::int64_t maxweight_;
+  std::vector<int> endpoint_;
+  std::vector<std::vector<int>> neighbend_;
+  std::vector<int> mate_;
+  std::vector<int> label_;
+  std::vector<int> labelend_;
+  std::vector<int> inblossom_;
+  std::vector<int> blossomparent_;
+  std::vector<int> blossombase_;
+  std::vector<std::vector<int>> blossomchilds_;
+  std::vector<std::vector<int>> blossomendps_;
+  std::vector<int> bestedge_;
+  std::vector<std::vector<int>> blossombestedges_;
+  std::vector<char> has_bestedges_;
+  std::vector<int> unusedblossoms_;
+  std::vector<std::int64_t> dualvar_;
+  std::vector<char> allowedge_;
+  std::vector<int> queue_;
+  SolveStats stats_;
+};
+
+/// Quantizes double weights onto an even-integer grid (exact dual
+/// arithmetic requires even integer weights; evenness keeps delta3 =
+/// slack/2 integral).
+std::vector<BlossomMatcher::Edge> quantize(std::span<const WeightedEdge> edges) {
+  double maxabs = 0.0;
+  for (const auto& e : edges) maxabs = std::max(maxabs, std::fabs(e.weight));
+  const double scale =
+      maxabs > 0.0 ? static_cast<double>(std::int64_t{1} << 26) / maxabs : 1.0;
+  std::vector<BlossomMatcher::Edge> out;
+  out.reserve(edges.size());
+  for (const auto& e : edges) {
+    out.push_back(BlossomMatcher::Edge{
+        e.u, e.v, 2 * std::llround(e.weight * scale)});
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<int> max_weight_matching(int n,
+                                     std::span<const WeightedEdge> edges,
+                                     bool max_cardinality) {
+  SIC_CHECK(n >= 0);
+  obs::MetricsRegistry* reg = obs::metrics();
+  obs::ScopedTimer timer{
+      reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
+      reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
+  BlossomMatcher matcher{n, quantize(edges), max_cardinality};
+  auto mate = matcher.solve();
+  SIC_CHECK(is_valid_mate_vector(mate));
+  if (reg != nullptr) {
+    const auto& st = matcher.stats();
+    reg->counter("matching.blossom.stages").inc(st.stages);
+    reg->counter("matching.blossom.augmentations").inc(st.augmentations);
+    reg->counter("matching.blossom.edge_visits").inc(st.edge_visits);
+    reg->counter("matching.blossom.blossoms_formed").inc(st.blossoms_formed);
+    reg->counter("matching.blossom.vertices").inc(
+        static_cast<std::uint64_t>(n));
+  }
+  return mate;
+}
+
+Matching min_weight_perfect_matching(const CostMatrix& costs) {
+  const int n = costs.size();
+  if (n % 2 != 0) {
+    throw MatchingError(
+        "blossom perfect matching requires an even vertex count, got n = " +
+        std::to_string(n));
+  }
+  Matching result;
+  if (n == 0) return result;
+  double max_cost = -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) max_cost = std::max(max_cost, costs.at(i, j));
+  }
+  std::vector<WeightedEdge> edges;
+  edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      edges.push_back(WeightedEdge{i, j, max_cost - costs.at(i, j)});
+    }
+  }
+  const auto mate = max_weight_matching(n, edges, /*max_cardinality=*/true);
+  int unmatched = 0;
+  for (int v = 0; v < n; ++v) {
+    if (mate[v] == -1) ++unmatched;
+  }
+  if (unmatched != 0) {
+    throw MatchingError("blossom matching left " + std::to_string(unmatched) +
+                        " of " + std::to_string(n) +
+                        " vertices unmatched (matching is not perfect)");
+  }
+  for (int v = 0; v < n; ++v) {
+    if (v < mate[v]) {
+      result.pairs.emplace_back(v, mate[v]);
+      result.total_cost += costs.at(v, mate[v]);
+    }
+  }
+  return result;
+}
+
+}  // namespace sic::matching::reference

@@ -103,7 +103,7 @@ std::map<std::string, double> parse_flat_json(std::string_view text) {
       if (end == owned.c_str()) {
         throw std::runtime_error("bad number for key " + key);
       }
-      out[key] = v;
+      if (!out.emplace(key, v).second) throw DuplicateKeyError{key};
       i += static_cast<std::size_t>(end - owned.c_str());
     } else {
       skip_value(text, i);

@@ -22,11 +22,29 @@
 /// compare nothing.
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sic::bench_gate {
+
+/// A bench summary carries the same numeric key twice. Which value the
+/// gate should compare is ambiguous, so the summary is rejected rather
+/// than silently keeping the last one.
+class DuplicateKeyError : public std::runtime_error {
+ public:
+  explicit DuplicateKeyError(std::string key)
+      : std::runtime_error("duplicate numeric key \"" + key +
+                           "\" in bench summary"),
+        key_(std::move(key)) {}
+
+  [[nodiscard]] const std::string& key() const { return key_; }
+
+ private:
+  std::string key_;
+};
 
 /// One pinned key. `tolerance_frac` is the allowed relative change in
 /// the regressing direction (0.10 = 10 %).
@@ -60,6 +78,8 @@ struct GateReport {
 /// Extracts the top-level numeric fields of a one-line flat JSON object
 /// (nested objects/arrays and string values are skipped, not descended
 /// into). Tolerant of surrounding whitespace/newlines. Throws
+/// DuplicateKeyError when a numeric key repeats (a repeated skipped key,
+/// such as a string-valued "bench" tag, is harmless) and
 /// std::runtime_error on text that is not a JSON object at all.
 [[nodiscard]] std::map<std::string, double> parse_flat_json(
     std::string_view text);

@@ -570,6 +570,21 @@ void check_r4(const FileCtx& ctx, const LintOptions& opts,
 
 void check_r5_back_edges(const FileCtx& ctx, const LintOptions& opts,
                          std::vector<Finding>& out) {
+  // Test-support code (tests/support, included as "support/...") holds
+  // reference implementations that exist only to pin library code in
+  // tests; no library file may depend on it.
+  if (has_dir_component(*ctx.path, "src")) {
+    for (const IncludeDirective& inc : ctx.lx.includes) {
+      if (!inc.quoted || inc.target.rfind("support/", 0) != 0) continue;
+      Token at;
+      at.line = inc.line;
+      at.col = 1;
+      emit(out, ctx, opts, "R5", at, inc.target,
+           "src/ must not include test-support header \"" + inc.target +
+               "\": tests/support is reference code for tests, not part "
+               "of the library");
+    }
+  }
   const int file_layer = layer_of_path(*ctx.path);
   if (file_layer < 0) return;  // consumers may include anything
   for (const IncludeDirective& inc : ctx.lx.includes) {

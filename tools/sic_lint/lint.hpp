@@ -27,9 +27,11 @@
 ///   R5  include-layer DAG: `#include "…"` edges across src/ must respect
 ///       the declared layer order (util → obs → channel → topology → phy →
 ///       matching → trace → core → mac → analysis; everything outside src/
-///       is a consumer and may include any layer). Any back-edge fails, and
-///       lint_tree() additionally rejects include *cycles*, printing the
-///       full offending path.
+///       is a consumer and may include any layer). Any back-edge fails, as
+///       does any src/ include of a test-support header ("support/…", the
+///       reference implementations in tests/support), and lint_tree()
+///       additionally rejects include *cycles*, printing the full
+///       offending path.
 ///   R6  RNG substream discipline: in a translation unit that uses
 ///       ParallelRunner / parallel_for, constructing an Rng or calling
 ///       .fork() inside a loop body is flagged — substreams must come from
