@@ -7,9 +7,10 @@
 /// Unlike the other perf binaries this one emits an *extended* one-line
 /// JSON summary: besides wall_ms/throughput it carries the approximate
 /// tier's headline numbers — samples/sec for blossom and approx at n = 256,
-/// their ratio (the speedup the scaling tier buys), and the deterministic
-/// scheduler-level airtime gap at n <= 64 — so the bench gate can pin the
-/// speedup and the quality floor from day one.
+/// their ratio (the speedup the scaling tier buys), blossom samples/sec on
+/// tie-heavy costs at n = 128 (the blossom-forming regime), and the
+/// deterministic scheduler-level airtime gap at n <= 64 — so the bench gate
+/// can pin the speedup and the quality floor from day one.
 
 #include <benchmark/benchmark.h>
 
@@ -241,6 +242,12 @@ int main(int argc, char** argv) {
     benchmark::DoNotOptimize(
         approx_min_weight_perfect_matching(costs).total_cost);
   });
+  // The exact tier where it forms many blossoms: uniform costs barely
+  // exercise the blossom merge or the dual update.
+  const auto tie_costs = tie_heavy_costs(128, 42);
+  const double blossom_tie_sps = samples_per_sec([&tie_costs] {
+    benchmark::DoNotOptimize(min_weight_perfect_matching(tie_costs).total_cost);
+  });
   const double gap = worst_airtime_gap_frac();
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -253,10 +260,12 @@ int main(int argc, char** argv) {
       "\"blossom_samples_per_sec_n256\":%.2f,"
       "\"approx_samples_per_sec_n256\":%.2f,"
       "\"approx_speedup_n256\":%.2f,"
+      "\"blossom_tie_samples_per_sec_n128\":%.2f,"
       "\"airtime_gap_frac_n64\":%.5f,"
       "\"airtime_match_frac_n64\":%.5f}\n",
       wall_ms, throughput, blossom_sps, approx_sps,
-      blossom_sps > 0.0 ? approx_sps / blossom_sps : 0.0, gap, 1.0 - gap);
+      blossom_sps > 0.0 ? approx_sps / blossom_sps : 0.0, blossom_tie_sps, gap,
+      1.0 - gap);
   benchmark::Shutdown();
   return 0;
 }

@@ -26,8 +26,7 @@ struct RowScan {
   const int* inblossom;
   const int* label;
   const std::int64_t* dual;
-  const std::int64_t* weight;   ///< row v of the weight matrix
-  const std::uint8_t* allowed;  ///< row v of the allowed matrix
+  const std::int64_t* weight;  ///< row v of the weight matrix
   int* bestedge;
   std::int64_t* bestslack;
   std::int64_t dv;  ///< v's dual
@@ -39,13 +38,14 @@ struct RowScan {
 /// The least-slack pass of a vertex scan over [w, n): edges to other
 /// S-blossoms update v's best edge (\p best, \p best_slack), edges to free
 /// vertices theirs. Stops at the first tight edge to another blossom and
-/// returns its index, or n.
+/// returns its index, or n. Feasibility keeps every such slack >= 0, so
+/// tight means kslack <= 0.
 int scan_until_tight(const RowScan& r, int w, int& best,
                      std::int64_t& best_slack) {
   for (; w < r.n; ++w) {
     const int bw = r.inblossom[w];
     const std::int64_t kslack = r.dv + r.dual[w] - 2 * r.weight[w];
-    if (bw != r.bv && (r.allowed[w] != 0 || kslack <= 0)) return w;
+    if (bw != r.bv && kslack <= 0) return w;
     const int lbw = r.label[bw];
     const int p = r.from | w;
     const bool take_s = (lbw == 1) & (bw != r.bv) & (kslack < best_slack);
@@ -71,6 +71,13 @@ int scan_until_tight(const RowScan& r, int w, int& best,
 /// edge {from, to} that lies at `to`. It plays the role of the edge-list
 /// formulation's endpoint index p, with flip() for p ^ 1; an edge is named
 /// by either of its endpoints.
+///
+/// The edge-list formulation also flags each edge it finds tight during a
+/// stage (allowedge). Every flagged edge has an S endpoint, and an S label
+/// lasts the whole stage, so the edge's slack can only fall from 0; dual
+/// feasibility keeps it at 0 while its ends lie in different top-level
+/// blossoms. The slack test alone makes the same decisions, so no flags
+/// are kept.
 class DenseBlossom {
  public:
   struct Stats {
@@ -78,6 +85,7 @@ class DenseBlossom {
     std::uint64_t augmentations = 0;
     std::uint64_t edge_visits = 0;
     std::uint64_t blossoms_formed = 0;
+    std::uint64_t dual_updates = 0;
   };
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -97,7 +105,15 @@ class DenseBlossom {
     mask_ = (1 << shift_) - 1;
     double max_cost = -std::numeric_limits<double>::infinity();
     for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) max_cost = std::max(max_cost, costs.at(i, j));
+      for (int j = i + 1; j < n; ++j) {
+        const double c = costs.at(i, j);
+        if (!std::isfinite(c)) {
+          throw MatchingError("blossom matching needs finite costs, got cost(" +
+                              std::to_string(i) + ", " + std::to_string(j) +
+                              ") = " + std::to_string(c));
+        }
+        max_cost = std::max(max_cost, c);
+      }
     }
     double maxabs = 0.0;
     for (int i = 0; i < n; ++i) {
@@ -128,7 +144,6 @@ class DenseBlossom {
       blossomchilds_[b].clear();
       blossomendps_[b].clear();
     }
-    allowed_.resize(un * un);
     mate_.assign(un, -1);
     label_.resize(2 * un);
     labelend_.assign(2 * un, -1);
@@ -159,7 +174,6 @@ class DenseBlossom {
         blossombestedges_[b].clear();
         has_bestedges_[b] = 0;
       }
-      std::fill(allowed_.begin(), allowed_.end(), 0);
       queue_.clear();
       for (int v = 0; v < n; ++v) {
         if (mate_[v] == -1 && label_[inblossom_[v]] == 0) assign_label(v, 1, -1);
@@ -199,11 +213,7 @@ class DenseBlossom {
     return dualvar_[a] + dualvar_[b] -
            2 * weight_[static_cast<std::size_t>(a) * nv_ + b];
   }
-  void allow(int p) {
-    const std::size_t a = static_cast<std::size_t>(other(p));
-    const std::size_t b = static_cast<std::size_t>(vert(p));
-    allowed_[a * nv_ + b] = allowed_[b * nv_ + a] = 1;
-  }
+  [[nodiscard]] int toplabel(int v) const { return label_[inblossom_[v]]; }
   void set_bestedge(int b, int p, std::int64_t s) {
     bestedge_[b] = p;
     bestslack_[b] = s;
@@ -217,10 +227,10 @@ class DenseBlossom {
   bool scan_vertex(int v) {
     SIC_DCHECK(label_[inblossom_[v]] == 1);
     const std::size_t row = static_cast<std::size_t>(v) * nv_;
-    RowScan r{inblossom_.data(),    label_.data(),         dualvar_.data(),
-              weight_.data() + row, allowed_.data() + row, bestedge_.data(),
-              bestslack_.data(),    dualvar_[v],           v << shift_,
-              inblossom_[v],        nv_};
+    RowScan r{inblossom_.data(),    label_.data(),     dualvar_.data(),
+              weight_.data() + row, bestedge_.data(),  bestslack_.data(),
+              dualvar_[v],          v << shift_,       inblossom_[v],
+              nv_};
     for (int w = 0;; ++w) {
       int best = bestedge_[r.bv];
       std::int64_t best_slack = bestslack_[r.bv];
@@ -242,7 +252,6 @@ class DenseBlossom {
   /// top-level blossom; returns true when it augmented.
   bool scan_tight_edge(int v, int w) {
     const int p = endpoint(v, w);  // the end of {v, w} at w
-    allow(p);
     const int lbw = label_[inblossom_[w]];
     if (lbw == 0) {
       assign_label(w, 2, flip(p));
@@ -266,32 +275,43 @@ class DenseBlossom {
   /// false when the optimum is reached. The edge-list formulation takes
   /// the first least candidate over delta2 (free vertices), then delta3
   /// (S-blossoms), then delta4 (T-blossoms); the first least of each kind,
-  /// compared with strict < in that order, is the same choice.
+  /// compared with strict < in that order, is the same choice. One vertex
+  /// pass finds delta2 and the trivial-blossom half of delta3; one pass
+  /// over the live non-trivial blossoms [n, 2n) finishes delta3 and finds
+  /// delta4.
   bool update_duals() {
+    ++stats_.dual_updates;
     const int n = nv_;
     std::int64_t d2 = kNoSlack;
     int e2 = -1;
-    for (int v = 0; v < n; ++v) {
-      if ((label_[inblossom_[v]] == 0) & (bestslack_[v] < d2)) {
-        d2 = bestslack_[v];
-        e2 = bestedge_[v];
-      }
-    }
     std::int64_t d3 = kNoSlack;
     int e3 = -1;
+    for (int v = 0; v < n; ++v) {
+      const int bv = inblossom_[v];
+      const int lbl = label_[bv];
+      const std::int64_t s = bestslack_[v];
+      const int e = bestedge_[v];
+      if ((lbl == 0) & (s < d2)) {
+        d2 = s;
+        e2 = e;
+      }
+      if ((bv == v) & (lbl == 1) & (e != -1) && s / 2 < d3) {
+        SIC_DCHECK(s % 2 == 0);
+        d3 = s / 2;
+        e3 = e;
+      }
+    }
     std::int64_t d4 = kNoSlack;
     int b4 = -1;
-    for (int b = 0; b < 2 * n; ++b) {
-      const bool top = blossomparent_[b] == -1;
-      if (top & (label_[b] == 1) & (bestedge_[b] != -1) &
-          (bestslack_[b] / 2 < d3)) {
+    for (int b = n; b < 2 * n; ++b) {
+      if ((blossombase_[b] < 0) | (blossomparent_[b] != -1)) continue;
+      const int lbl = label_[b];
+      if ((lbl == 1) & (bestedge_[b] != -1) && bestslack_[b] / 2 < d3) {
         SIC_DCHECK(bestslack_[b] % 2 == 0);
         d3 = bestslack_[b] / 2;
         e3 = bestedge_[b];
       }
-      // Only non-trivial blossoms (b >= n) carry a dual of their own.
-      if (top & (label_[b] == 2) & (blossombase_[b] >= 0) & (b >= n) &
-          (b4 == -1 || dualvar_[b] < d4)) {
+      if ((lbl == 2) && (b4 == -1 || dualvar_[b] < d4)) {
         d4 = dualvar_[b];
         b4 = b;
       }
@@ -318,17 +338,24 @@ class DenseBlossom {
     }
 
     // S-vertices lose delta, T-vertices gain it; top-level blossom duals
-    // move the other way. The final delta ends the solve: nothing reads
-    // blossom duals or slacks after it.
+    // move the other way. A cached least slack moves with its two ends'
+    // duals, so it is refreshed by the same shifts, in exact integers. The
+    // final delta ends the solve: nothing reads blossom duals or slacks
+    // after it.
     const std::int64_t shift_by[3] = {0, -delta, delta};
-    for (int v = 0; v < n; ++v) dualvar_[v] += shift_by[label_[inblossom_[v]]];
+    const auto edge_shift = [&](int p) {
+      return shift_by[toplabel(other(p))] + shift_by[toplabel(vert(p))];
+    };
+    for (int v = 0; v < n; ++v) {
+      dualvar_[v] += shift_by[toplabel(v)];
+      if (bestedge_[v] != -1) bestslack_[v] += edge_shift(bestedge_[v]);
+    }
     if (deltatype == 1) return false;
-    // Slacks moved with the vertex duals: refresh the cached ones.
-    for (int b = 0; b < 2 * n; ++b) {
-      if ((b >= n) & (blossombase_[b] >= 0) & (blossomparent_[b] == -1)) {
+    for (int b = n; b < 2 * n; ++b) {
+      if ((blossombase_[b] >= 0) & (blossomparent_[b] == -1)) {
         dualvar_[b] -= shift_by[label_[b]];
       }
-      if (bestedge_[b] != -1) bestslack_[b] = slack(bestedge_[b]);
+      if (bestedge_[b] != -1) bestslack_[b] += edge_shift(bestedge_[b]);
     }
 
     if (deltatype == 4) {
@@ -336,11 +363,10 @@ class DenseBlossom {
       return true;
     }
     const int edge = deltatype == 2 ? e2 : e3;
-    allow(edge);
     // The edge list's edges[k].i, unless (delta2) that end is the free one.
     int i = lower(edge);
-    if (deltatype == 2 && label_[inblossom_[i]] == 0) i = upper(edge);
-    SIC_DCHECK(label_[inblossom_[i]] == 1);
+    if (deltatype == 2 && toplabel(i) == 0) i = upper(edge);
+    SIC_DCHECK(toplabel(i) == 1);
     queue_.push_back(i);
     return true;
   }
@@ -449,29 +475,38 @@ class DenseBlossom {
       if (label_[inblossom_[leaf]] == 2) queue_.push_back(leaf);
       inblossom_[leaf] = b;
     }
-    // Merge the sub-blossoms' least-slack edges to other S-blossoms. A
-    // child without a list offers every edge of every leaf, in ascending
-    // neighbour order; ties keep the first edge offered.
-    const auto offer = [&](int p, int j, std::int64_t s) {
-      const int bj = inblossom_[j];
-      const bool take = (bj != b) & (label_[bj] == 1) & (s < bestslackto_[bj]);
+    // Merge the sub-blossoms' least-slack edges to other S-blossoms; ties
+    // keep the first edge offered. A child without a list offers every
+    // edge of every leaf in ascending neighbour order. Only edges to other
+    // S-blossoms can be taken, so those rows are offered only to the
+    // vertices of other S-blossoms, listed once in ascending order.
+    const auto offer = [&](int p, int bj, std::int64_t s) {
+      const bool take = s < bestslackto_[bj];
       bestedgeto_[bj] = take ? p : bestedgeto_[bj];
       bestslackto_[bj] = take ? s : bestslackto_[bj];
     };
+    svertices_.clear();
+    for (int j = 0; j < nv_; ++j) {
+      const int bj = inblossom_[j];
+      if ((bj != b) & (label_[bj] == 1)) svertices_.push_back(j);
+    }
     for (const int child : path) {
       if (has_bestedges_[child] == 0) {
         leaves_.clear();
         append_leaves(child, leaves_);
         for (const int leaf : leaves_) {
           const std::int64_t* row = weight_.data() + static_cast<std::size_t>(leaf) * nv_;
-          for (int j = 0; j < nv_; ++j) {
-            if (j == leaf) continue;
-            offer(endpoint(leaf, j), j, dualvar_[leaf] + dualvar_[j] - 2 * row[j]);
+          const std::int64_t dleaf = dualvar_[leaf];
+          const int from = leaf << shift_;
+          for (const int j : svertices_) {
+            offer(from | j, inblossom_[j], dleaf + dualvar_[j] - 2 * row[j]);
           }
         }
       } else {
         for (const int p : blossombestedges_[child]) {
-          offer(p, inblossom_[vert(p)] == b ? other(p) : vert(p), slack(p));
+          const int j = inblossom_[vert(p)] == b ? other(p) : vert(p);
+          const int bj = inblossom_[j];
+          if ((bj != b) & (label_[bj] == 1)) offer(p, bj, slack(p));
         }
       }
       blossombestedges_[child].clear();
@@ -533,10 +568,8 @@ class DenseBlossom {
         label_[other(p)] = 0;
         label_[other(endp_at(j))] = 0;
         assign_label(other(p), 2, p);
-        allow(endp_at(j));
         j += jstep;
         p = endp_at(j);
-        allow(p);
         j += jstep;
       }
       const int bv = child_at(j);
@@ -652,7 +685,6 @@ class DenseBlossom {
   int shift_ = 1;
   int mask_ = 1;
   std::vector<std::int64_t> weight_;   ///< n×n quantized weights, mirrored
-  std::vector<std::uint8_t> allowed_;  ///< n×n zero-slack flags, mirrored
   std::vector<int> mate_;
   std::vector<int> label_;
   std::vector<int> labelend_;
@@ -672,6 +704,7 @@ class DenseBlossom {
   std::vector<std::int64_t> dualvar_;
   std::vector<int> queue_;
   std::vector<int> leaves_;      ///< blossom-leaf scratch
+  std::vector<int> svertices_;   ///< add_blossom: vertices of other S-blossoms
   std::vector<int> path_;        ///< scan_blossom trace scratch
   std::vector<int> bestedgeto_;  ///< add_blossom merge scratch, all -1
   std::vector<std::int64_t> bestslackto_;  ///< its slacks, all kNoSlack
@@ -723,6 +756,7 @@ Matching min_weight_perfect_matching(const CostMatrix& costs) {
     reg->counter("matching.blossom.augmentations").inc(st.augmentations);
     reg->counter("matching.blossom.edge_visits").inc(st.edge_visits);
     reg->counter("matching.blossom.blossoms_formed").inc(st.blossoms_formed);
+    reg->counter("matching.blossom.dual_updates").inc(st.dual_updates);
     reg->counter("matching.blossom.vertices").inc(
         static_cast<std::uint64_t>(n));
   }

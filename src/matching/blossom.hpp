@@ -30,9 +30,11 @@ namespace sic::matching {
 /// Minimum-weight perfect matching on the complete graph described by
 /// \p costs. Requires an even vertex count (the scheduler adds the dummy
 /// client for odd counts before calling this) and throws MatchingError
-/// otherwise. Implemented via the standard reduction w' = max_cost − cost
-/// with max-cardinality matching. Publishes matching.blossom.* work
-/// counters when a metrics registry is attached.
+/// otherwise. Every cost(i, j), i < j, must be finite; the first
+/// non-finite one (in row order) is named in a MatchingError. Implemented
+/// via the standard reduction w' = max_cost − cost with max-cardinality
+/// matching. Publishes matching.blossom.* work counters when a metrics
+/// registry is attached.
 [[nodiscard]] Matching min_weight_perfect_matching(const CostMatrix& costs);
 
 }  // namespace sic::matching

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,44 @@ TEST(MinWeightPerfect, OddCountRejected) {
   } catch (const MatchingError& e) {
     EXPECT_NE(std::string{e.what()}.find("5"), std::string::npos);
   }
+}
+
+/// A 4-vertex instance with every cost 1 except cost(i, j) = \p bad.
+CostMatrix four_with(int i, int j, double bad) {
+  CostMatrix costs{4};
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) costs.set(a, b, 1.0);
+  }
+  costs.set(i, j, bad);
+  return costs;
+}
+
+void expect_non_finite_rejected(double bad) {
+  // Two non-finite entries: the message names the first in (i, j) order.
+  CostMatrix costs = four_with(1, 3, bad);
+  costs.set(2, 3, bad);
+  try {
+    (void)min_weight_perfect_matching(costs);
+    FAIL() << "cost " << bad << " must throw MatchingError";
+  } catch (const MatchingError& e) {
+    EXPECT_NE(std::string{e.what()}.find("cost(1, 3)"), std::string::npos)
+        << e.what();
+  }
+  // The thread's solver state is fine afterwards.
+  const auto m = min_weight_perfect_matching(four_with(0, 1, 5.0));
+  EXPECT_EQ(m.total_cost, 2.0);
+}
+
+TEST(MinWeightPerfect, PositiveInfinityCostRejected) {
+  expect_non_finite_rejected(std::numeric_limits<double>::infinity());
+}
+
+TEST(MinWeightPerfect, NegativeInfinityCostRejected) {
+  expect_non_finite_rejected(-std::numeric_limits<double>::infinity());
+}
+
+TEST(MinWeightPerfect, NaNCostRejected) {
+  expect_non_finite_rejected(std::numeric_limits<double>::quiet_NaN());
 }
 
 TEST(MinWeightPerfect, ScalesToHundredsOfVertices) {

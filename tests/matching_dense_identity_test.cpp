@@ -23,6 +23,7 @@
 #include "matching/blossom.hpp"
 #include "obs/metrics.hpp"
 #include "phy/rate_adapter.hpp"
+#include "phy/rate_table.hpp"
 #include "support/blossom_reference.hpp"
 #include "util/rng.hpp"
 
@@ -38,7 +39,8 @@ struct Outcome {
 constexpr const char* kWorkCounters[] = {
     "matching.blossom.stages",          "matching.blossom.augmentations",
     "matching.blossom.edge_visits",     "matching.blossom.blossoms_formed",
-    "matching.blossom.vertices",        "matching.blossom.calls"};
+    "matching.blossom.dual_updates",    "matching.blossom.vertices",
+    "matching.blossom.calls"};
 
 /// Runs \p solve with a fresh registry attached and collects its counters.
 template <typename Solve>
@@ -114,6 +116,38 @@ TEST(DenseBlossomIdentity, SmallIntegerCosts) {
   }
 }
 
+TEST(DenseBlossomIdentity, TieOrderWitnesses) {
+  // Two small-integer instances, found by random search, on which a
+  // blossom merge that offered a leaf's row in descending neighbour order
+  // returns a different pairing: equal-slack edges to one S-blossom, where
+  // only the ascending order's first minimum is the reference's choice.
+  const std::vector<std::vector<double>> witnesses = {
+      {1, 2, 1, 1, 2, 0, 0, 1, 2,  //
+       0, 0, 2, 0, 1, 2, 0, 0,     //
+       0, 1, 1, 2, 2, 1, 2,        //
+       2, 0, 1, 1, 1, 0,           //
+       0, 1, 1, 1, 2,              //
+       1, 2, 2, 0,                 //
+       0, 1, 2,                    //
+       1, 2,                       //
+       2},
+      {2, 2, 0, 1, 2,  //
+       0, 2, 1, 0,     //
+       2, 1, 0,        //
+       0, 1,           //
+       2}};
+  for (const auto& upper : witnesses) {
+    int n = 2;
+    while (n * (n - 1) / 2 < static_cast<int>(upper.size())) ++n;
+    CostMatrix costs{n};
+    std::size_t k = 0;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) costs.set(i, j, upper[k++]);
+    }
+    expect_identical(costs, "tie-order witness n=" + std::to_string(n));
+  }
+}
+
 TEST(DenseBlossomIdentity, StateReusedAcrossShrinkingAndGrowingSizes) {
   int round = 0;
   for (const int n : {170, 2, 64, 170}) {
@@ -133,55 +167,103 @@ TEST(DenseBlossomIdentity, StateReusedAcrossShrinkingAndGrowingSizes) {
   }
 }
 
-TEST(DenseBlossomIdentity, OddPairCostEngineBuildsWithDummyVertex) {
-  // The engine's own matching call (odd client count, so the Fig. 12
-  // dummy vertex closes the graph) against the reference solving the same
-  // cost matrix rebuilt from scratch.
-  const phy::ShannonRateAdapter adapter{megahertz(20.0)};
+/// Clients with RSS drawn uniformly from [6.5, 40] dB over a 1 mW noise
+/// floor: every client clears 802.11g's lowest rate (6 dB).
+std::vector<channel::LinkBudget> random_clients(int n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<channel::LinkBudget> clients;
+  for (int i = 0; i < n; ++i) {
+    clients.push_back(channel::LinkBudget{
+        Milliwatts{Decibels{rng.uniform(6.5, 40.0)}.linear()},
+        Milliwatts{1.0}});
+  }
+  return clients;
+}
+
+/// The engine's own matching call against the reference solving the same
+/// cost matrix rebuilt from scratch; an odd client count gets the Fig. 12
+/// dummy vertex, joined to each client at its solo airtime.
+void expect_engine_identical(const phy::RateAdapter& adapter,
+                             const core::SchedulerOptions& options,
+                             const std::vector<channel::LinkBudget>& clients,
+                             const std::string& what) {
+  core::PairCostEngine engine{adapter, options};
+  engine.set_clients(clients);
+  core::Schedule schedule;
+  const Outcome got = observe([&] {
+    schedule = engine.schedule();
+    return Matching{};
+  });
+
+  const int n = static_cast<int>(clients.size());
+  const int m = n + n % 2;
+  CostMatrix costs{m};
+  for (int i = 0; i < n; ++i) {
+    const auto& ci = clients[static_cast<std::size_t>(i)];
+    for (int j = i + 1; j < n; ++j) {
+      costs.set(i, j,
+                core::best_pair_plan(ci, clients[static_cast<std::size_t>(j)],
+                                     adapter, options)
+                    .airtime);
+    }
+    if (m != n) {
+      costs.set(i, n, core::solo_airtime(ci, adapter, options.packet_bits));
+    }
+  }
+  const Outcome want =
+      observe([&] { return reference::min_weight_perfect_matching(costs); });
+
+  std::vector<std::pair<int, int>> pairs;
+  for (const auto& slot : schedule.slots) {
+    pairs.emplace_back(slot.first, slot.second == -1 ? n : slot.second);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(pairs, want.matching.pairs) << what;
+  EXPECT_EQ(got.work, want.work) << what;
+}
+
+core::SchedulerOptions blossom_options() {
   core::SchedulerOptions options;
   options.pairing = core::SchedulerOptions::Pairing::kBlossom;
-  core::PairCostEngine engine{adapter, options};
+  return options;
+}
+
+TEST(DenseBlossomIdentity, OddPairCostEngineBuildsWithDummyVertex) {
+  const phy::ShannonRateAdapter adapter{megahertz(20.0)};
   for (const int n : {3, 5, 9, 17, 33, 65, 101}) {
-    Rng rng{5000 + static_cast<std::uint64_t>(n)};
-    std::vector<channel::LinkBudget> clients;
-    for (int i = 0; i < n; ++i) {
-      clients.push_back(channel::LinkBudget{
-          Milliwatts{Decibels{rng.uniform(6.5, 40.0)}.linear()},
-          Milliwatts{1.0}});
-    }
-    engine.set_clients(clients);
-    core::Schedule schedule;
-    const Outcome got = observe([&] {
-      schedule = engine.schedule();
-      return Matching{};
-    });
-
-    const int m = n + 1;
-    CostMatrix costs{m};
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        costs.set(i, j,
-                  core::best_pair_plan(clients[static_cast<std::size_t>(i)],
-                                       clients[static_cast<std::size_t>(j)],
-                                       adapter, options)
-                      .airtime);
-      }
-      costs.set(i, n,
-                core::solo_airtime(clients[static_cast<std::size_t>(i)],
-                                   adapter, options.packet_bits));
-    }
-    const Outcome want =
-        observe([&] { return reference::min_weight_perfect_matching(costs); });
-
-    std::vector<std::pair<int, int>> pairs;
-    for (const auto& slot : schedule.slots) {
-      pairs.emplace_back(slot.first, slot.second == -1 ? n : slot.second);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    const std::string what = "engine n=" + std::to_string(n);
-    EXPECT_EQ(pairs, want.matching.pairs) << what;
-    EXPECT_EQ(got.work, want.work) << what;
+    const auto seed = 5000 + static_cast<std::uint64_t>(n);
+    expect_engine_identical(adapter, blossom_options(),
+                            random_clients(n, seed),
+                            "engine n=" + std::to_string(n));
   }
+}
+
+TEST(DenseBlossomIdentity, DiscreteRatePowerControlMultirateEngineBuilds) {
+  // 802.11g's eight rates make many pair plans cost exactly the same, and
+  // power control and multirate add more exact ties: the regime of the
+  // deployment engine's small churned cells, where only tie-breaking
+  // decides the pairing.
+  const phy::DiscreteRateAdapter adapter{phy::RateTable::dot11g()};
+  core::SchedulerOptions options = blossom_options();
+  options.enable_power_control = true;
+  options.enable_multirate = true;
+  for (int n = 5; n <= 25; ++n) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      expect_engine_identical(
+          adapter, options,
+          random_clients(n, 6000 + 100 * seed + static_cast<std::uint64_t>(n)),
+          "dot11g pc+mr n=" + std::to_string(n) +
+              " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(DenseBlossomIdentity, LargestDenseDeploymentCell) {
+  // n = 224: the largest cell the herded dense deployment hands the
+  // matcher.
+  const phy::ShannonRateAdapter adapter{megahertz(20.0)};
+  expect_engine_identical(adapter, blossom_options(), random_clients(224, 7224),
+                          "engine n=224");
 }
 
 }  // namespace

@@ -33,6 +33,7 @@ class BlossomMatcher {
     std::uint64_t augmentations = 0;
     std::uint64_t edge_visits = 0;
     std::uint64_t blossoms_formed = 0;
+    std::uint64_t dual_updates = 0;
   };
 
   BlossomMatcher(int nvertex, std::vector<Edge> edges, bool max_cardinality)
@@ -141,6 +142,7 @@ class BlossomMatcher {
 
         // No augmenting path under the current duals; compute the dual
         // adjustment delta.
+        ++stats_.dual_updates;
         int deltatype = -1;
         std::int64_t delta = 0;
         int deltaedge = -1;
@@ -628,6 +630,7 @@ std::vector<int> max_weight_matching(int n,
     reg->counter("matching.blossom.augmentations").inc(st.augmentations);
     reg->counter("matching.blossom.edge_visits").inc(st.edge_visits);
     reg->counter("matching.blossom.blossoms_formed").inc(st.blossoms_formed);
+    reg->counter("matching.blossom.dual_updates").inc(st.dual_updates);
     reg->counter("matching.blossom.vertices").inc(
         static_cast<std::uint64_t>(n));
   }
