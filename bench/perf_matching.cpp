@@ -71,9 +71,11 @@ void BM_BlossomPerfectMatching(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
+// To n = 256, like the approximate tier below: the pair gives the kAuto
+// crossover (--auto-tier-n0) over the whole range.
 BENCHMARK(BM_BlossomPerfectMatching)
     ->RangeMultiplier(2)
-    ->Range(8, 128)
+    ->Range(8, 256)
     ->Complexity(benchmark::oNCubed);
 
 void BM_BlossomTieHeavy(benchmark::State& state) {

@@ -9,8 +9,12 @@
 namespace sic::core {
 
 MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx) {
+  return multirate_airtime_detailed(ctx, sic_rates(ctx));
+}
+
+MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx,
+                                           const SicRatePair& rates) {
   SIC_CHECK(ctx.adapter != nullptr);
-  const auto rates = sic_rates(ctx);
   const double l = ctx.packet_bits;
   const double t_strong = airtime_seconds(l, rates.stronger);
   const double t_weak = airtime_seconds(l, rates.weaker);

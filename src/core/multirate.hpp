@@ -32,6 +32,11 @@ struct MultirateResult {
 [[nodiscard]] MultirateResult multirate_airtime_detailed(
     const UploadPairContext& ctx);
 
+/// The same, from the pair's SIC rates already in hand (\p rates must be
+/// sic_rates(ctx)): only the stronger client's clean rate is looked up.
+[[nodiscard]] MultirateResult multirate_airtime_detailed(
+    const UploadPairContext& ctx, const SicRatePair& rates);
+
 [[nodiscard]] double multirate_airtime(const UploadPairContext& ctx);
 
 }  // namespace sic::core

@@ -8,6 +8,7 @@
 
 #include "core/multirate.hpp"
 #include "core/power_control.hpp"
+#include "matching/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "util/check.hpp"
@@ -15,15 +16,47 @@
 
 namespace sic::core {
 
+namespace {
+
+/// Build scratch, shared by every engine on a thread. Only the plan cache
+/// and the per-client state must outlive a build; a deployment keeps one
+/// engine per AP for its whole run, so per-engine scratch would be paid
+/// once per AP. Builds never nest on a thread.
+struct BuildScratch {
+  matching::CostMatrix costs{0};
+  std::vector<int> row_cols;                  ///< dirty columns of a row
+  std::vector<double> row_sinr;               ///< both SIC SINR lanes
+  std::vector<BitsPerSecond> row_rates;       ///< rate_span results
+  std::vector<double> serial;                 ///< per-vertex solo airtime
+  std::vector<matching::WeightedEdge> edges;  ///< sparse-tier edge list
+};
+
+thread_local BuildScratch tl_build_scratch;
+
+}  // namespace
+
 PairCostEngine::PairCostEngine(const phy::RateAdapter& adapter,
                                SchedulerOptions options,
                                Decibels invalidation_epsilon)
-    : adapter_(&adapter),
-      options_(options),
-      derate_(Decibels{-options.admission_margin_db.value()}.linear()),
-      epsilon_(invalidation_epsilon) {
-  SIC_CHECK_MSG(epsilon_.value() >= 0.0,
+    : adapter_(&adapter) {
+  reset(adapter, options, invalidation_epsilon);
+}
+
+void PairCostEngine::reset(const phy::RateAdapter& adapter,
+                           SchedulerOptions options,
+                           Decibels invalidation_epsilon) {
+  SIC_CHECK_MSG(invalidation_epsilon.value() >= 0.0,
                 "invalidation epsilon must be >= 0 dB");
+  adapter_ = &adapter;
+  options_ = options;
+  derate_ = Decibels{-options.admission_margin_db.value()}.linear();
+  epsilon_ = invalidation_epsilon;
+  noise_ = Milliwatts{0.0};
+  n_ = 0;
+  all_indices_.clear();
+  last_tier_ = MatchingTier::kBlossom;
+  stats_ = PairCostEngineStats{};
+  published_ = PairCostEngineStats{};
 }
 
 void PairCostEngine::refresh_derived(int client) {
@@ -53,8 +86,13 @@ void PairCostEngine::set_clients(
     rss_[c] = clients[c].rss;
     refresh_derived(static_cast<int>(c));
   }
+  // The n × n tables are sized exactly, not left at a reused engine's
+  // largest client set: a deployment keeps one engine per AP for its whole
+  // run, and every AP's peak membership would stay allocated.
   plans_.assign(n * n, PairPlan{});
+  plans_.shrink_to_fit();
   valid_.assign(n * n, 0);
+  valid_.shrink_to_fit();
   all_indices_.resize(n);
   std::iota(all_indices_.begin(), all_indices_.end(), 0);
 }
@@ -104,8 +142,10 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
   // the SoA arrays. Lane layout: [0, count) stronger, [count, 2·count)
   // weaker. The (s1 >= s2 → s1 is stronger) rule with s1 the lower client
   // index replicates TwoSignalArrival::make called on (min, max) exactly.
-  row_sinr_.resize(2 * count);
-  row_rates_.resize(2 * count);
+  std::vector<double>& row_sinr = tl_build_scratch.row_sinr;
+  std::vector<BitsPerSecond>& row_rates = tl_build_scratch.row_rates;
+  row_sinr.resize(2 * count);
+  row_rates.resize(2 * count);
   for (std::size_t t = 0; t < count; ++t) {
     const int gj = cols[t];
     const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
@@ -115,13 +155,13 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
     SIC_CHECK_MSG(s1 >= 0.0 && s2 >= 0.0, "linear RSS must be non-negative");
     const double stronger = s1 >= s2 ? s1 : s2;
     const double weaker = s1 >= s2 ? s2 : s1;
-    row_sinr_[t] = stronger / (weaker + noise_mw);
-    row_sinr_[count + t] = weaker / noise_mw;
+    row_sinr[t] = stronger / (weaker + noise_mw);
+    row_sinr[count + t] = weaker / noise_mw;
   }
 
   // Pass 2 — every rate lookup of the row in one batched call: a single
   // virtual dispatch instead of two per pair.
-  adapter_->rate_span(row_sinr_, row_rates_);
+  adapter_->rate_span(row_sinr, row_rates);
 
   // Pass 3 — plan selection. This replicates best_pair_plan_from_context
   // decision-for-decision (same candidate order, same strict-< rules) so
@@ -134,9 +174,11 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
     PairPlan best;
     best.mode = PairMode::kSerial;
     best.airtime = solo_airtime_[a] + solo_airtime_[b];
-    const double t_sic =
-        std::max(airtime_seconds(options_.packet_bits, row_rates_[t]),
-                 airtime_seconds(options_.packet_bits, row_rates_[count + t]));
+    // The pair's unscaled SIC rates, looked up once: plain SIC, the power
+    // control search's β = 1 start and multirate's overlap all share them
+    // (pass 1 computes sic_rates' SINRs with its expressions).
+    const SicRatePair unit{row_rates[t], row_rates[count + t]};
+    const double t_sic = sic_airtime(unit, options_.packet_bits);
     if (t_sic < best.airtime) {
       best = PairPlan{PairMode::kSic, t_sic, 1.0};
     }
@@ -145,13 +187,13 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
           UploadPairContext::make(derated_rss_[a], derated_rss_[b], noise_,
                                   *adapter_, options_.packet_bits);
       if (options_.enable_power_control) {
-        const auto pc = optimize_weaker_power(ctx);
+        const auto pc = optimize_weaker_power(ctx, unit);
         if (pc.applied && pc.airtime < best.airtime) {
           best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
         }
       }
       if (options_.enable_multirate) {
-        const auto mr = multirate_airtime_detailed(ctx);
+        const auto mr = multirate_airtime_detailed(ctx, unit);
         if (mr.boosted && mr.airtime < best.airtime) {
           best = PairPlan{PairMode::kSicMultirate, mr.airtime, 1.0};
         }
@@ -195,7 +237,10 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
   const int dummy = odd ? k : -1;
   const std::size_t n = static_cast<std::size_t>(n_);
   obs::MetricsRegistry* reg = obs::metrics();
-  costs_.reset(m);
+  BuildScratch& scratch = tl_build_scratch;
+  matching::CostMatrix& costs = scratch.costs;
+  std::vector<int>& row_cols = scratch.row_cols;
+  costs.reset(m);
   {
     obs::ScopedTimer kernel_timer{
         reg != nullptr
@@ -203,7 +248,7 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
             : nullptr};
     for (int u = 0; u < k; ++u) {
       const int gi = idx[static_cast<std::size_t>(u)];
-      row_cols_.clear();
+      row_cols.clear();
       for (int v = u + 1; v < k; ++v) {
         const int gj = idx[static_cast<std::size_t>(v)];
         const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
@@ -211,18 +256,18 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
         if (valid_[a * n + b] != 0) {
           ++stats_.pair_cache_hits;
         } else {
-          row_cols_.push_back(gj);
+          row_cols.push_back(gj);
         }
       }
-      if (!row_cols_.empty()) compute_row(gi, row_cols_);
+      if (!row_cols.empty()) compute_row(gi, row_cols);
       for (int v = u + 1; v < k; ++v) {
         const int gj = idx[static_cast<std::size_t>(v)];
         const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
         const std::size_t b = static_cast<std::size_t>(std::max(gi, gj));
-        costs_.set(u, v, plans_[a * n + b].airtime);
+        costs.set(u, v, plans_[a * n + b].airtime);
       }
       if (odd) {
-        costs_.set(u, dummy, solo_airtime_[static_cast<std::size_t>(gi)]);
+        costs.set(u, dummy, solo_airtime_[static_cast<std::size_t>(gi)]);
       }
     }
   }
@@ -230,19 +275,20 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
   // Per-vertex serial (solo) cost feeding the approximate tier's
   // sparsification; the dummy's is 0 so its edges are always dropped and
   // the fallback pairs it.
-  serial_scratch_.resize(static_cast<std::size_t>(m));
+  std::vector<double>& serial = scratch.serial;
+  serial.resize(static_cast<std::size_t>(m));
   for (int u = 0; u < k; ++u) {
-    serial_scratch_[static_cast<std::size_t>(u)] =
+    serial[static_cast<std::size_t>(u)] =
         solo_airtime_[static_cast<std::size_t>(idx[static_cast<std::size_t>(u)])];
   }
-  if (odd) serial_scratch_[static_cast<std::size_t>(dummy)] = 0.0;
+  if (odd) serial[static_cast<std::size_t>(dummy)] = 0.0;
 
   const MatchingTier tier =
       resolve_matching_tier(options_.pairing, k, options_.auto_tier_threshold);
   last_tier_ = tier;
   const matching::Matching matching =
-      run_matching_tier(costs_, tier, serial_scratch_,
-                        options_.admission_margin_db, edge_scratch_);
+      run_matching_tier(costs, tier, serial, options_.admission_margin_db,
+                        scratch.edges);
   // kAuto below the threshold: also run the approximate matcher
   // observationally and publish the relative total-airtime gap — the
   // calibration signal for choosing the crossover. Observer-pure: the
@@ -252,8 +298,8 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
       tier == MatchingTier::kBlossom && reg != nullptr &&
       matching.total_cost > 0.0 && std::isfinite(matching.total_cost)) {
     const matching::Matching shadow =
-        run_matching_tier(costs_, MatchingTier::kApprox, serial_scratch_,
-                          options_.admission_margin_db, edge_scratch_);
+        run_matching_tier(costs, MatchingTier::kApprox, serial,
+                          options_.admission_margin_db, scratch.edges);
     if (std::isfinite(shadow.total_cost)) {
       reg->histogram("scheduler.matching.gap")
           .observe((shadow.total_cost - matching.total_cost) /

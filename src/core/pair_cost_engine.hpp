@@ -20,8 +20,9 @@
 ///    channel fingerprint (its linear RSS): update_client() invalidates a
 ///    row only when the new estimate moved beyond a configurable epsilon,
 ///    so a re-matching round after re-estimation recomputes O(Δn·n) plans
-///    instead of O(n²), with the plan table and cost matrix reused across
-///    rounds instead of reallocated.
+///    instead of O(n²), with the plan table reused across rounds instead of
+///    reallocated (and the cost matrix and row scratch shared by every
+///    engine on the thread).
 ///
 /// Contract: schedules are bit-identical to the historical from-scratch
 /// path (same PairPlans, same matching input, same slot order) whenever the
@@ -44,7 +45,6 @@
 #include "channel/link.hpp"
 #include "core/matching_tier.hpp"
 #include "core/scheduler.hpp"
-#include "matching/graph.hpp"
 #include "phy/rate_adapter.hpp"
 
 namespace sic::core {
@@ -67,6 +67,13 @@ class PairCostEngine {
   /// bit-identity with from-scratch scheduling.
   PairCostEngine(const phy::RateAdapter& adapter, SchedulerOptions options,
                  Decibels invalidation_epsilon = Decibels{0.0});
+
+  /// Returns the engine to the state the constructor leaves with these
+  /// arguments — no clients, zeroed stats — keeping its storage, so a
+  /// caller that re-plans a new client set can reuse one engine instead
+  /// of constructing another.
+  void reset(const phy::RateAdapter& adapter, SchedulerOptions options,
+             Decibels invalidation_epsilon = Decibels{0.0});
 
   /// Installs a new client set: every row becomes dirty (a full rebuild),
   /// unconditionally — set_clients means "new topology", so counters stay
@@ -130,15 +137,6 @@ class PairCostEngine {
   std::vector<std::uint8_t> valid_;
 
   std::vector<int> all_indices_;    ///< identity map for schedule()
-  matching::CostMatrix costs_{0};   ///< scratch, reused across builds
-
-  // Row-kernel and matcher scratch, reused across builds (mirrors the
-  // costs_ idiom: one allocation for the engine's lifetime).
-  std::vector<int> row_cols_;                      ///< dirty columns of a row
-  std::vector<double> row_sinr_;                   ///< both SIC SINR lanes
-  std::vector<BitsPerSecond> row_rates_;           ///< rate_span results
-  std::vector<double> serial_scratch_;             ///< per-vertex solo airtime
-  std::vector<matching::WeightedEdge> edge_scratch_;
 
   MatchingTier last_tier_ = MatchingTier::kBlossom;
   PairCostEngineStats stats_;

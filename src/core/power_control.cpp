@@ -11,16 +11,22 @@ namespace sic::core {
 
 namespace {
 
-/// Evaluates the pair at a given weaker-power scale.
-PowerControlResult evaluate_at_scale(const UploadPairContext& ctx,
-                                     double scale) {
+/// The two SIC-constrained rates at a given weaker-power scale. Reducing
+/// the weaker client's power can never flip the strength order.
+SicRatePair rates_at_scale(const UploadPairContext& ctx, double scale) {
   UploadPairContext scaled = ctx;
   scaled.arrival.weaker = ctx.arrival.weaker * scale;
-  // Reducing the weaker client's power can never flip the strength order.
+  return sic_rates(scaled);
+}
+
+/// The pair at weaker-power scale \p scale, whose SIC rates are \p rates;
+/// the airtime is derived from them, not looked up again.
+PowerControlResult result_at_scale(const UploadPairContext& ctx, double scale,
+                                   const SicRatePair& rates) {
   PowerControlResult out;
   out.scale = scale;
-  out.rates = sic_rates(scaled);
-  out.airtime = sic_airtime(scaled);
+  out.rates = rates;
+  out.airtime = sic_airtime(rates, ctx.packet_bits);
   out.applied = scale < 1.0;
   return out;
 }
@@ -63,14 +69,6 @@ const ScaleTables& scale_tables() {
     return t;
   }();
   return tables;
-}
-
-/// The two SIC-constrained rates at a given weaker-power scale — exactly
-/// the rates evaluate_at_scale() realizes, without the airtime math.
-SicRatePair rates_at_scale(const UploadPairContext& ctx, double scale) {
-  UploadPairContext scaled = ctx;
-  scaled.arrival.weaker = ctx.arrival.weaker * scale;
-  return sic_rates(scaled);
 }
 
 bool same_rates(const SicRatePair& a, const SicRatePair& b) {
@@ -120,7 +118,8 @@ void refine_over_grid(const UploadPairContext& ctx,
         }
       }
     }
-    const PowerControlResult cand = evaluate_at_scale(ctx, scales[seg]);
+    const PowerControlResult cand =
+        result_at_scale(ctx, scales[seg], seg_rates);
     if (cand.airtime < best.airtime) {
       best = cand;
       if (best_index != nullptr) *best_index = static_cast<int>(seg);
@@ -132,16 +131,21 @@ void refine_over_grid(const UploadPairContext& ctx,
 }  // namespace
 
 PowerControlResult optimize_weaker_power(const UploadPairContext& ctx) {
+  return optimize_weaker_power(ctx, sic_rates(ctx));
+}
+
+PowerControlResult optimize_weaker_power(const UploadPairContext& ctx,
+                                         const SicRatePair& unit_rates) {
   SIC_CHECK(ctx.adapter != nullptr);
-  PowerControlResult best = evaluate_at_scale(ctx, 1.0);
-  best.applied = false;
+  PowerControlResult best = result_at_scale(ctx, 1.0, unit_rates);
   if (ctx.arrival.weaker.value() <= 0.0) return best;
 
   if (dynamic_cast<const phy::ShannonRateAdapter*>(ctx.adapter) != nullptr) {
     const double target = equal_rate_weaker_rss(ctx.arrival);
     const double scale = target / ctx.arrival.weaker.value();
     if (scale < 1.0) {
-      PowerControlResult cand = evaluate_at_scale(ctx, scale);
+      PowerControlResult cand =
+          result_at_scale(ctx, scale, rates_at_scale(ctx, scale));
       if (cand.airtime < best.airtime) return cand;
     }
     return best;

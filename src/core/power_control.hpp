@@ -44,6 +44,11 @@ struct PowerControlResult {
 [[nodiscard]] PowerControlResult optimize_weaker_power(
     const UploadPairContext& ctx);
 
+/// The same, starting from the pair's unscaled SIC rates already in hand
+/// (\p unit_rates must be sic_rates(ctx)), so β = 1 costs no rate lookup.
+[[nodiscard]] PowerControlResult optimize_weaker_power(
+    const UploadPairContext& ctx, const SicRatePair& unit_rates);
+
 /// Completion time with the optimal weaker-power reduction applied.
 [[nodiscard]] double power_controlled_airtime(const UploadPairContext& ctx);
 

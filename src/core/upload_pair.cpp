@@ -57,17 +57,18 @@ double serial_airtime(const UploadPairContext& ctx) {
          airtime_seconds(ctx.packet_bits, r2);
 }
 
+double sic_airtime(const SicRatePair& rates, double packet_bits) {
+  return std::max(airtime_seconds(packet_bits, rates.stronger),
+                  airtime_seconds(packet_bits, rates.weaker));
+}
+
 double sic_airtime(const UploadPairContext& ctx) {
-  const auto rates = sic_rates(ctx);
-  return std::max(airtime_seconds(ctx.packet_bits, rates.stronger),
-                  airtime_seconds(ctx.packet_bits, rates.weaker));
+  return sic_airtime(sic_rates(ctx), ctx.packet_bits);
 }
 
 double sic_airtime(const UploadPairContext& ctx,
                    const SicImpairments& impairments) {
-  const auto rates = sic_rates(ctx, impairments);
-  return std::max(airtime_seconds(ctx.packet_bits, rates.stronger),
-                  airtime_seconds(ctx.packet_bits, rates.weaker));
+  return sic_airtime(sic_rates(ctx, impairments), ctx.packet_bits);
 }
 
 double realized_gain(const UploadPairContext& ctx,

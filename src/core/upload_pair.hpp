@@ -67,6 +67,9 @@ struct SicImpairments {
 /// rate is zero (SIC infeasible under this rate policy).
 [[nodiscard]] double sic_airtime(const UploadPairContext& ctx);
 
+/// eq (6) from rates already in hand: the slower of the two packets.
+[[nodiscard]] double sic_airtime(const SicRatePair& rates, double packet_bits);
+
 /// Impairment-aware eq (6).
 [[nodiscard]] double sic_airtime(const UploadPairContext& ctx,
                                  const SicImpairments& impairments);

@@ -7,11 +7,18 @@
 namespace sic::mac {
 
 AccessPoint::AccessPoint(EventQueue& queue, Medium& medium, MacNodeId id)
-    : queue_(&queue),
-      medium_(&medium),
-      id_(id),
-      per_source_(static_cast<std::size_t>(medium.n_nodes()), 0),
-      seen_ids_(static_cast<std::size_t>(medium.n_nodes())) {
+    : queue_(&queue), medium_(&medium), id_(id) {
+  reset();
+}
+
+void AccessPoint::reset() {
+  ack_backlog_.clear();
+  ack_head_ = 0;
+  next_ack_ready_ = 0;
+  ack_scheduled_ = false;
+  stats_ = ApStats{};
+  per_source_.assign(static_cast<std::size_t>(medium_->n_nodes()), 0);
+  seen_ids_.clear();
   medium_->attach(id_, this);
 }
 
@@ -47,9 +54,12 @@ void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
   if (frame.src >= 0 &&
       frame.src < static_cast<MacNodeId>(per_source_.size())) {
     ++per_source_[static_cast<std::size_t>(frame.src)];
-    if (!seen_ids_[static_cast<std::size_t>(frame.src)].insert(frame.id)
-             .second) {
+    const std::pair<MacNodeId, std::uint64_t> key{frame.src, frame.id};
+    const auto at = std::lower_bound(seen_ids_.begin(), seen_ids_.end(), key);
+    if (at != seen_ids_.end() && *at == key) {
       ++stats_.duplicate_data;
+    } else {
+      seen_ids_.insert(at, key);
     }
   }
   Frame ack;
@@ -64,14 +74,14 @@ void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
 }
 
 void AccessPoint::pump_acks() {
-  if (ack_scheduled_ || ack_backlog_.empty()) return;
+  if (ack_scheduled_ || ack_head_ == ack_backlog_.size()) return;
   const PhyParams& phy = medium_->phy();
   const SimTime at =
       std::max(queue_->now() + phy.sifs, next_ack_ready_ + phy.sifs);
   ack_scheduled_ = true;
   queue_->schedule_at(at, [this] {
     ack_scheduled_ = false;
-    if (ack_backlog_.empty()) return;
+    if (ack_head_ == ack_backlog_.size()) return;
     if (medium_->is_transmitting(id_)) {
       // Previous ACK still on air; retry after it ends.
       pump_acks();
@@ -88,13 +98,16 @@ void AccessPoint::pump_acks() {
       pump_acks();
       return;
     }
-    const Frame ack = ack_backlog_.front();
-    ack_backlog_.pop_front();
+    const Frame ack = ack_backlog_[ack_head_++];
+    if (ack_head_ == ack_backlog_.size()) {
+      ack_backlog_.clear();
+      ack_head_ = 0;
+    }
     medium_->transmit(ack, medium_->phy().ack_rate);
     next_ack_ready_ =
         queue_->now() + medium_->frame_duration(ack, medium_->phy().ack_rate);
     ++stats_.acks_sent;
-    if (!ack_backlog_.empty()) pump_acks();
+    if (ack_head_ < ack_backlog_.size()) pump_acks();
   });
 }
 

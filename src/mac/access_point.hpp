@@ -6,9 +6,9 @@
 /// medium's SIC receiver model) and returns ACKs after SIFS, serializing
 /// back-to-back ACKs when a collision yielded two decodes.
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "mac/event_queue.hpp"
@@ -29,6 +29,11 @@ class AccessPoint : public MediumListener {
  public:
   AccessPoint(EventQueue& queue, Medium& medium, MacNodeId id);
 
+  /// Returns the AP to the state the constructor leaves, keeping its
+  /// storage, and re-attaches it to the medium — call after the medium's
+  /// own reset().
+  void reset();
+
   AccessPoint(const AccessPoint&) = delete;
   AccessPoint& operator=(const AccessPoint&) = delete;
 
@@ -46,14 +51,17 @@ class AccessPoint : public MediumListener {
   EventQueue* queue_;
   Medium* medium_;
   MacNodeId id_;
-  std::deque<Frame> ack_backlog_;
+  /// FIFO of control frames to send: [ack_head_, size) is pending; the
+  /// vector is rewound whenever it drains.
+  std::vector<Frame> ack_backlog_;
+  std::size_t ack_head_ = 0;
   SimTime next_ack_ready_ = 0;
   bool ack_scheduled_ = false;
   ApStats stats_;
   std::vector<std::uint64_t> per_source_;
-  /// Frame ids already received, per source (retransmissions keep the
-  /// original id, as 802.11 retries keep their sequence number).
-  std::vector<std::unordered_set<std::uint64_t>> seen_ids_;
+  /// (source, frame id) pairs already received, sorted (retransmissions
+  /// keep the original id, as 802.11 retries keep their sequence number).
+  std::vector<std::pair<MacNodeId, std::uint64_t>> seen_ids_;
 };
 
 }  // namespace sic::mac

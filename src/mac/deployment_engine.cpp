@@ -462,6 +462,20 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
   }
 }
 
+namespace {
+
+/// Buffers serve_ap rebuilds for every AP it serves, one set per pool
+/// thread; each call overwrites them before reading, so they carry only
+/// capacity from one AP to the next.
+struct ServeScratch {
+  std::vector<channel::LinkBudget> budgets;
+  UploadSimConfig run;
+};
+
+thread_local ServeScratch tl_serve_scratch;
+
+}  // namespace
+
 void DeploymentEngine::serve_ap(ApState& ap) {
   const bool rebuild = ap.pce == nullptr || ap.pce_ladder != ap.ladder ||
                        ap.pce_members != ap.members;
@@ -473,8 +487,9 @@ void DeploymentEngine::serve_ap(ApState& ap) {
     }
   }
   // Planning estimates (member order).
-  std::vector<channel::LinkBudget> budgets;
-  budgets.reserve(ap.members.size());
+  ServeScratch& scratch = tl_serve_scratch;
+  std::vector<channel::LinkBudget>& budgets = scratch.budgets;
+  budgets.clear();
   for (const int m : ap.members) {
     const channel::LinkBudget nominal = nominal_budget(m, ap.id);
     const Decibels est = clients_[static_cast<std::size_t>(m)].est_drift;
@@ -488,8 +503,14 @@ void DeploymentEngine::serve_ap(ApState& ap) {
       ap.pce_members = ap.members;
       ap.schedule = serial_schedule(budgets, *adapter_, ladder_options(2));
     } else if (rebuild) {
-      ap.pce = std::make_unique<core::PairCostEngine>(
-          *adapter_, ladder_options(ap.ladder));
+      // A new membership or ladder step: a from-scratch engine state,
+      // reusing the storage of the AP's previous engine when it has one.
+      if (ap.pce == nullptr) {
+        ap.pce = std::make_unique<core::PairCostEngine>(
+            *adapter_, ladder_options(ap.ladder));
+      } else {
+        ap.pce->reset(*adapter_, ladder_options(ap.ladder));
+      }
       ap.pce->set_clients(budgets);
       ap.pce_ladder = ap.ladder;
       ap.pce_members = ap.members;
@@ -510,11 +531,13 @@ void DeploymentEngine::serve_ap(ApState& ap) {
   // Execution: the truth the packets fly through deviates from the
   // planning estimate by accumulated drift plus any active burst,
   // expressed through the fault model's initial_drift conduit.
-  UploadSimConfig run = config_.upload;
+  UploadSimConfig& run = scratch.run;
+  run = config_.upload;
   run.seed = epoch_seed(config_.seed, ap.id, epoch_);
   run.recovery.enabled = config_.closed_loop;
   run.recovery.rematch_options = ladder_options(std::min(ap.ladder, 2));
-  std::vector<Decibels> offsets(ap.members.size(), Decibels{0.0});
+  std::vector<Decibels>& offsets = run.faults.initial_drift;
+  offsets.resize(ap.members.size());
   bool any_offset = false;
   for (std::size_t i = 0; i < ap.members.size(); ++i) {
     const ClientState& c =
@@ -523,7 +546,7 @@ void DeploymentEngine::serve_ap(ApState& ap) {
     offsets[i] = off;
     any_offset = any_offset || off != Decibels{0.0};
   }
-  if (any_offset) run.faults.initial_drift = std::move(offsets);
+  if (!any_offset) offsets.clear();
   ap.last = run_scheduled_upload(budgets, *adapter_, ap.schedule, run);
 }
 
@@ -669,7 +692,8 @@ EpochStats DeploymentEngine::run_epoch() {
     if (ap.alive && !ap.members.empty()) serving.push_back(ap.id);
   }
   obs::MetricsRegistry* caller = obs::metrics();
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> scratch(aps_.size());
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> scratch;
+  if (caller != nullptr) scratch.resize(aps_.size());
   pool_->parallel_for(
       static_cast<std::int64_t>(serving.size()), 1,
       [&](std::int64_t begin, std::int64_t end) {

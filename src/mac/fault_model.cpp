@@ -1,5 +1,6 @@
 #include "mac/fault_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -51,8 +52,18 @@ void FaultConfig::validate(int n_clients) const {
 
 FaultModel::FaultModel(const FaultConfig& config, int n_clients,
                        std::uint64_t seed)
-    : config_(config), rng_(seed) {
+    : rng_(seed) {
+  reset(config, n_clients, seed);
+}
+
+void FaultModel::reset(const FaultConfig& config, int n_clients,
+                       std::uint64_t seed) {
   config.validate(n_clients);
+  config_ = config;
+  rng_ = Rng{seed};
+  tracks_.clear();
+  injected_.clear();
+  injected_count_ = 0;
   if (config_.stale_rss_sigma > Decibels{0.0}) {
     tracks_.reserve(static_cast<std::size_t>(n_clients));
     for (int i = 0; i < n_clients; ++i) {
@@ -90,13 +101,14 @@ bool FaultModel::should_fail_decode(const Frame& frame, bool sic_path) {
   if (!sic_path || frame.type != FrameType::kData) return false;
   if (config_.cancellation_failure_prob <= 0.0) return false;
   if (!rng_.chance(config_.cancellation_failure_prob)) return false;
-  injected_.insert(frame.id);
+  if (!was_injected(frame.id)) injected_.push_back(frame.id);
   ++injected_count_;
   return true;
 }
 
 bool FaultModel::was_injected(std::uint64_t frame_id) const {
-  return injected_.contains(frame_id);
+  return std::find(injected_.begin(), injected_.end(), frame_id) !=
+         injected_.end();
 }
 
 bool FaultModel::ack_lost() {

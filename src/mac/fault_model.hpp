@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "channel/fading.hpp"
@@ -95,6 +94,10 @@ class FaultModel {
   /// the per-client AR(1) tracks when channel faults are enabled.
   FaultModel(const FaultConfig& config, int n_clients, std::uint64_t seed);
 
+  /// Re-initializes the model exactly as the constructor would (same
+  /// validation, same RNG draws), keeping its storage.
+  void reset(const FaultConfig& config, int n_clients, std::uint64_t seed);
+
   [[nodiscard]] const FaultConfig& config() const { return config_; }
 
   /// Current deviation (dB) of \p client's channel from the nominal RSS
@@ -132,7 +135,10 @@ class FaultModel {
   FaultConfig config_;
   Rng rng_;
   std::vector<channel::Ar1ShadowingTrack> tracks_;
-  std::unordered_set<std::uint64_t> injected_;
+  /// Frame ids injected since the last clear_injections(), distinct. The
+  /// executor clears it every slot, so it holds at most two ids and a
+  /// linear scan beats hashing.
+  std::vector<std::uint64_t> injected_;
   std::uint64_t injected_count_ = 0;
 };
 

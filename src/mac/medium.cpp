@@ -11,15 +11,30 @@ namespace sic::mac {
 Medium::Medium(EventQueue& queue, int n_nodes, Milliwatts noise,
                const phy::RateAdapter& adapter,
                phy::SicDecoderConfig decoder_config)
-    : queue_(&queue),
-      n_nodes_(n_nodes),
-      noise_(noise),
-      adapter_(&adapter),
-      decoder_(adapter, decoder_config),
-      gains_(static_cast<std::size_t>(n_nodes) * n_nodes, Milliwatts{0.0}),
-      listeners_(static_cast<std::size_t>(n_nodes), nullptr) {
+    : queue_(&queue), decoder_(adapter, decoder_config) {
+  reset(n_nodes, noise, adapter, decoder_config);
+}
+
+void Medium::reset(int n_nodes, Milliwatts noise,
+                   const phy::RateAdapter& adapter,
+                   phy::SicDecoderConfig decoder_config) {
   SIC_CHECK(n_nodes >= 1);
   SIC_CHECK(noise.value() > 0.0);
+  n_nodes_ = n_nodes;
+  noise_ = noise;
+  adapter_ = &adapter;
+  decoder_ = phy::SicDecoder{adapter, decoder_config};
+  phy_ = PhyParams{};
+  gains_.assign(static_cast<std::size_t>(n_nodes) * n_nodes, Milliwatts{0.0});
+  listeners_.assign(static_cast<std::size_t>(n_nodes), nullptr);
+  active_.clear();
+  recent_.clear();
+  free_slots_.clear();
+  for (std::size_t s = pool_.size(); s-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(s));
+  }
+  stats_ = MediumStats{};
+  fault_hook_ = nullptr;
 }
 
 void Medium::set_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss) {
@@ -46,7 +61,8 @@ void Medium::attach(MacNodeId node, MediumListener* listener) {
 
 bool Medium::carrier_busy(MacNodeId node) const {
   const Milliwatts floor = noise_ * phy_.cs_above_noise.linear();
-  for (const auto& t : active_) {
+  for (const std::uint32_t slot : active_) {
+    const Transmission& t = pool_[slot];
     if (t.frame.src == node) return true;  // own transmission
     const Milliwatts rss = gain(t.frame.src, node) * t.power_scale;
     if (rss >= floor) return true;
@@ -55,14 +71,14 @@ bool Medium::carrier_busy(MacNodeId node) const {
 }
 
 bool Medium::is_transmitting(MacNodeId node) const {
-  return std::any_of(active_.begin(), active_.end(), [node](const auto& t) {
-    return t.frame.src == node;
+  return std::any_of(active_.begin(), active_.end(), [&](std::uint32_t s) {
+    return pool_[s].frame.src == node;
   });
 }
 
 bool Medium::is_receiving(MacNodeId node) const {
-  return std::any_of(active_.begin(), active_.end(), [node](const auto& t) {
-    return t.frame.dst == node;
+  return std::any_of(active_.begin(), active_.end(), [&](std::uint32_t s) {
+    return pool_[s].frame.dst == node;
   });
 }
 
@@ -77,23 +93,30 @@ void Medium::transmit(const Frame& frame, BitsPerSecond rate,
   SIC_CHECK(power_scale > 0.0 && power_scale <= 1.0);
   SIC_CHECK_MSG(!is_transmitting(frame.src),
                 "node is already transmitting (half duplex)");
-  Transmission t;
-  t.key = next_key_++;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Transmission& t = pool_[slot];
   t.frame = frame;
   t.rate = rate;
   t.power_scale = power_scale;
   t.start = queue_->now();
   t.end = t.start + frame_duration(frame, rate);
-  for (auto& other : active_) {
-    other.interferers.push_back(t.key);
-    t.interferers.push_back(other.key);
+  t.interferers.clear();
+  for (const std::uint32_t other : active_) {
+    pool_[other].interferers.push_back(slot);
+    t.interferers.push_back(other);
   }
-  const std::uint64_t key = t.key;
   const SimTime end = t.end;
-  active_.push_back(std::move(t));
+  active_.push_back(slot);
   ++stats_.transmissions;
   // Schedule before notifying: a listener may transmit reentrantly.
-  queue_->schedule_at(end, [this, key] { finish(key); });
+  queue_->schedule_at(end, [this, slot] { finish(slot); });
   notify_channel_update();
 }
 
@@ -134,48 +157,41 @@ const char* frame_type_name(FrameType t) {
 
 }  // namespace
 
-void Medium::finish(std::uint64_t key) {
-  const auto it = std::find_if(active_.begin(), active_.end(),
-                               [key](const auto& t) { return t.key == key; });
+void Medium::finish(std::uint32_t slot) {
+  const auto it = std::find(active_.begin(), active_.end(), slot);
   SIC_CHECK(it != active_.end());
-  Transmission done = std::move(*it);
   active_.erase(it);
-
-  // Resolve a transmission by key among active and recently ended ones.
-  const auto find_tx = [this](std::uint64_t k) -> const Transmission* {
-    for (const auto& t : active_) {
-      if (t.key == k) return &t;
-    }
-    for (const auto& t : recent_) {
-      if (t.key == k) return &t;
-    }
-    return nullptr;
-  };
+  // pool_ cannot grow before the listeners run below, so the reference
+  // holds until then.
+  const Transmission& done = pool_[slot];
 
   // Decode verdict for an arbitrary receiver — the destination and any
-  // overhearers share the same receiver model.
+  // overhearers share the same receiver model. Interferers sent by the
+  // receiver itself are a half-duplex conflict; of the rest, one is
+  // capture/SIC territory and more is a pile-up.
   const auto decode_at = [&](MacNodeId receiver) -> DecodeVerdict {
     bool half_duplex_conflict = false;
-    std::vector<const Transmission*> interferers;
-    for (const std::uint64_t k : done.interferers) {
-      const Transmission* o = find_tx(k);
-      SIC_CHECK_MSG(o != nullptr, "interferer transmission lost");
-      if (o->frame.src == receiver) {
+    const Transmission* interferer = nullptr;
+    std::size_t n_interferers = 0;
+    for (const std::uint32_t k : done.interferers) {
+      const Transmission& o = pool_[k];
+      if (o.frame.src == receiver) {
         half_duplex_conflict = true;
       } else {
-        interferers.push_back(o);
+        if (n_interferers == 0) interferer = &o;
+        ++n_interferers;
       }
     }
     const Milliwatts signal =
         gain(done.frame.src, receiver) * done.power_scale;
     if (half_duplex_conflict) return DecodeVerdict::kFailHalfDuplex;
-    if (interferers.empty()) {
+    if (n_interferers == 0) {
       return adapter_->feasible(done.rate, signal / noise_)
                  ? DecodeVerdict::kCleanOk
                  : DecodeVerdict::kFailClean;
     }
-    if (interferers.size() == 1) {
-      const Transmission& other = *interferers.front();
+    if (n_interferers == 1) {
+      const Transmission& other = *interferer;
       const Milliwatts irss =
           gain(other.frame.src, receiver) * other.power_scale;
       if (signal >= irss) {
@@ -211,11 +227,11 @@ void Medium::finish(std::uint64_t key) {
   }
   // Overhearers: every other attached node that could decode this frame
   // (feeds virtual carrier sense / NAV).
-  std::vector<MacNodeId> overhearers;
+  overhearers_.clear();
   for (MacNodeId n = 0; n < n_nodes_; ++n) {
     if (n == dst || n == done.frame.src) continue;
     if (listeners_[static_cast<std::size_t>(n)] == nullptr) continue;
-    if (is_success(decode_at(n))) overhearers.push_back(n);
+    if (is_success(decode_at(n))) overhearers_.push_back(n);
   }
 
   const bool decoded = is_success(verdict);
@@ -261,14 +277,13 @@ void Medium::finish(std::uint64_t key) {
   // Keep the ended transmission around while any active one still lists it
   // as an interferer; prune the rest.
   const Frame delivered_frame = done.frame;
-  recent_.push_back(std::move(done));
-  std::erase_if(recent_, [this](const Transmission& r) {
-    for (const auto& a : active_) {
-      if (std::find(a.interferers.begin(), a.interferers.end(), r.key) !=
-          a.interferers.end()) {
-        return false;
-      }
+  recent_.push_back(slot);
+  std::erase_if(recent_, [this](std::uint32_t r) {
+    for (const std::uint32_t a : active_) {
+      const auto& list = pool_[a].interferers;
+      if (std::find(list.begin(), list.end(), r) != list.end()) return false;
     }
+    free_slots_.push_back(r);
     return true;
   });
 
@@ -276,7 +291,9 @@ void Medium::finish(std::uint64_t key) {
     listeners_[static_cast<std::size_t>(dst)]->on_frame_received(
         delivered_frame, decoded);
   }
-  for (const MacNodeId n : overhearers) {
+  // Listeners may transmit (growing pool_) but never finish a frame, so
+  // overhearers_ is stable while it is walked.
+  for (const MacNodeId n : overhearers_) {
     MediumListener* l = listeners_[static_cast<std::size_t>(n)];
     if (l != nullptr) l->on_frame_overheard(delivered_frame);
   }

@@ -63,6 +63,13 @@ class Medium {
          const phy::RateAdapter& adapter,
          phy::SicDecoderConfig decoder_config = {});
 
+  /// Returns the medium to the state the constructor leaves (no gains,
+  /// listeners, transmissions, stats or hook; default PHY) for a new run,
+  /// keeping its storage. The queue must be reset alongside: transmissions
+  /// in flight are forgotten, so their end events must not fire.
+  void reset(int n_nodes, Milliwatts noise, const phy::RateAdapter& adapter,
+             phy::SicDecoderConfig decoder_config = {});
+
   /// Symmetric channel gain: RSS of \p tx at \p rx at full power (and vice
   /// versa).
   void set_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss);
@@ -114,36 +121,42 @@ class Medium {
   PhyParams& mutable_phy() { return phy_; }
 
  private:
+  /// A pooled transmission record. Records are addressed by slot index
+  /// and recycled once nothing references them; a recycled slot keeps its
+  /// interferer list's capacity, so a warm medium transmits without
+  /// allocating.
   struct Transmission {
-    std::uint64_t key;
     Frame frame;
     BitsPerSecond rate;
-    double power_scale;
-    SimTime start;
-    SimTime end;
-    /// Keys of transmissions that overlapped this one at any point.
-    std::vector<std::uint64_t> interferers;
+    double power_scale = 1.0;
+    SimTime start = 0;
+    SimTime end = 0;
+    /// Slots of transmissions that overlapped this one at any point. Only
+    /// an active transmission's list is ever read, and every slot it names
+    /// stays allocated while it is active.
+    std::vector<std::uint32_t> interferers;
   };
 
-  void finish(std::uint64_t key);
-  [[nodiscard]] bool evaluate_decode(const Transmission& t) const;
+  void finish(std::uint32_t slot);
   void notify_channel_update();
 
   EventQueue* queue_;
-  int n_nodes_;
-  Milliwatts noise_;
-  const phy::RateAdapter* adapter_;
+  int n_nodes_ = 0;
+  Milliwatts noise_{0.0};
+  const phy::RateAdapter* adapter_ = nullptr;
   phy::SicDecoder decoder_;
   PhyParams phy_;
   std::vector<Milliwatts> gains_;
   std::vector<MediumListener*> listeners_;
-  std::vector<Transmission> active_;
+  std::vector<Transmission> pool_;        ///< records, by slot
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> active_;     ///< on air, in start order
   /// Ended transmissions kept while still referenced as interferers of
   /// active ones.
-  std::vector<Transmission> recent_;
+  std::vector<std::uint32_t> recent_;
+  std::vector<MacNodeId> overhearers_;    ///< finish() scratch
   MediumStats stats_;
   DecodeFaultHook fault_hook_;
-  std::uint64_t next_key_ = 1;
 };
 
 }  // namespace sic::mac

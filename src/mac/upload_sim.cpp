@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-
+#include <optional>
 #include <string>
 
 #include "core/multirate.hpp"
@@ -73,32 +73,35 @@ void name_trace_tracks(obs::TraceSink& sink, std::size_t n_clients,
   if (executor_tid >= 0) sink.name_track(executor_tid, "executor");
 }
 
-/// Builds the medium for one AP + n clients from their AP-side budgets.
-/// Client-to-client gains come from the configured mutual SNR.
-std::unique_ptr<Medium> build_medium(EventQueue& queue,
-                                     std::span<const channel::LinkBudget> clients,
-                                     const phy::RateAdapter& adapter,
-                                     const UploadSimConfig& config) {
+/// Decoder settings of the AP's receiver. Checks that \p clients is
+/// non-empty and shares one noise floor, the medium's.
+phy::SicDecoderConfig ap_decoder(std::span<const channel::LinkBudget> clients,
+                                 const UploadSimConfig& config) {
   SIC_CHECK(!clients.empty());
   const Milliwatts noise = clients.front().noise;
   for (const auto& c : clients) {
     SIC_CHECK_MSG(c.noise == noise, "clients must share the AP noise floor");
   }
-  const int n_nodes = static_cast<int>(clients.size()) + 1;
   phy::SicDecoderConfig decoder;
   decoder.sic_capable = config.sic_at_ap;
   decoder.cancellation_residual = config.cancellation_residual;
   decoder.max_decodable_disparity = config.max_decodable_disparity;
-  auto medium =
-      std::make_unique<Medium>(queue, n_nodes, noise, adapter, decoder);
-  const Milliwatts mutual = noise * config.client_mutual_snr.linear();
+  return decoder;
+}
+
+/// Sets the gains of one AP + n clients from their AP-side budgets.
+/// Client-to-client gains come from the configured mutual SNR.
+void set_client_gains(Medium& medium,
+                      std::span<const channel::LinkBudget> clients,
+                      const UploadSimConfig& config) {
+  const Milliwatts mutual =
+      clients.front().noise * config.client_mutual_snr.linear();
   for (int i = 0; i < static_cast<int>(clients.size()); ++i) {
-    medium->set_gain(kApId, i + 1, clients[static_cast<std::size_t>(i)].rss);
+    medium.set_gain(kApId, i + 1, clients[static_cast<std::size_t>(i)].rss);
     for (int j = i + 1; j < static_cast<int>(clients.size()); ++j) {
-      medium->set_gain(i + 1, j + 1, mutual);
+      medium.set_gain(i + 1, j + 1, mutual);
     }
   }
-  return medium;
 }
 
 }  // namespace
@@ -109,8 +112,11 @@ UploadSimResult run_dcf_upload(std::span<const channel::LinkBudget> clients,
   SIC_CHECK(config.frames_per_client >= 1);
   SIC_CHECK(config.rate_margin > 0.0 && config.rate_margin <= 1.0);
   EventQueue queue;
-  auto medium = build_medium(queue, clients, adapter, config);
-  AccessPoint ap{queue, *medium, kApId};
+  const phy::SicDecoderConfig decoder = ap_decoder(clients, config);
+  Medium medium{queue, static_cast<int>(clients.size()) + 1,
+                clients.front().noise, adapter, decoder};
+  set_client_gains(medium, clients, config);
+  AccessPoint ap{queue, medium, kApId};
   Rng rng{config.seed};
   if (obs::TraceSink* sink = obs::trace()) {
     name_trace_tracks(*sink, clients.size(), /*executor_tid=*/-1);
@@ -122,7 +128,7 @@ UploadSimResult run_dcf_upload(std::span<const channel::LinkBudget> clients,
     const BitsPerSecond rate{adapter.rate(budget.snr()).value() *
                              config.rate_margin};
     if (rate.value() <= 0.0) continue;  // dead link; cannot participate
-    auto st = std::make_unique<DcfStation>(queue, *medium, i + 1, kApId, rate,
+    auto st = std::make_unique<DcfStation>(queue, medium, i + 1, kApId, rate,
                                            rng.fork());
     st->set_rts_cts(config.use_rts_cts);
     st->enqueue(config.frames_per_client, config.packet_bits);
@@ -143,7 +149,7 @@ UploadSimResult run_dcf_upload(std::span<const channel::LinkBudget> clients,
     completion = std::max(completion, st->stats().completion_time);
   }
   result.completion_s = to_seconds(completion);
-  result.medium = medium->stats();
+  result.medium = medium.stats();
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     reg->counter("mac.dcf.runs").inc();
     reg->counter("mac.dcf.offered").inc(result.offered);
@@ -172,24 +178,30 @@ namespace {
 /// executor this replaced.
 class ClosedLoopRunner {
  public:
-  ClosedLoopRunner(EventQueue& queue, Medium& medium, AccessPoint& ap,
-                   std::span<const channel::LinkBudget> clients,
-                   const phy::RateAdapter& adapter,
-                   const core::Schedule& schedule,
-                   const UploadSimConfig& config, FaultModel& faults)
-      : queue_(&queue),
-        medium_(&medium),
-        ap_(&ap),
-        clients_(clients),
-        adapter_(&adapter),
-        config_(&config),
-        faults_(&faults),
-        margin_db_(schedule.admission_margin_db.value()),
-        noise_(clients.front().noise),
-        sink_(obs::trace()),
-        executor_tid_(static_cast<int>(clients.size()) + 1) {
+  ClosedLoopRunner() = default;
+  // Queued events hold `this`.
+  ClosedLoopRunner(const ClosedLoopRunner&) = delete;
+  ClosedLoopRunner& operator=(const ClosedLoopRunner&) = delete;
+
+  /// Prepares the run of \p schedule, resetting every per-run field and
+  /// keeping the vectors' capacity from earlier runs.
+  void reset(EventQueue& queue, Medium& medium, AccessPoint& ap,
+             std::span<const channel::LinkBudget> clients,
+             const phy::RateAdapter& adapter, const core::Schedule& schedule,
+             const UploadSimConfig& config, FaultModel& faults) {
+    queue_ = &queue;
+    medium_ = &medium;
+    ap_ = &ap;
+    clients_ = clients;
+    adapter_ = &adapter;
+    config_ = &config;
+    faults_ = &faults;
+    margin_db_ = schedule.admission_margin_db.value();
+    noise_ = clients.front().noise;
+    sink_ = obs::trace();
+    executor_tid_ = static_cast<int>(clients.size()) + 1;
     const std::size_t n = clients.size();
-    estimates_.reserve(n);
+    estimates_.clear();
     for (const auto& c : clients_) estimates_.push_back(c.rss);
     pending_.assign(n, 0);
     attempts_.assign(n, 0);
@@ -199,9 +211,14 @@ class ClosedLoopRunner {
     ap_seen_.assign(n, 0);
     last_cause_.assign(n, FailCause::kNone);
     unrecovered_per_client_.assign(n, 0);
+    std::vector<std::uint64_t> histogram =
+        std::move(telemetry_.retry_histogram);
+    telemetry_ = FailureTelemetry{};
     const int buckets =
         std::clamp(config.recovery.max_attempts_per_frame, 1, 16);
-    telemetry_.retry_histogram.assign(static_cast<std::size_t>(buckets), 0);
+    histogram.assign(static_cast<std::size_t>(buckets), 0);
+    telemetry_.retry_histogram = std::move(histogram);
+    round_slots_.clear();
     for (const auto& slot : schedule.slots) {
       RunSlot rs;
       rs.first = slot.first;
@@ -213,6 +230,11 @@ class ClosedLoopRunner {
       if (slot.second >= 0) ++pending_[static_cast<std::size_t>(slot.second)];
       round_slots_.push_back(rs);
     }
+    rematch_ready_ = false;
+    rounds_ = 0;
+    round_open_ = false;
+    round_start_us_ = 0.0;
+    slot_start_us_ = 0.0;
   }
 
   void start() {
@@ -358,10 +380,10 @@ class ClosedLoopRunner {
         SIC_CHECK(slot.second >= 0);
         const auto [strong, weak] = strong_weak(slot);
         const auto ctx = pair_ctx(slot.first, slot.second);
-        const auto mr = core::multirate_airtime_detailed(ctx);
+        const auto rates = core::sic_rates(ctx);
+        const auto mr = core::multirate_airtime_detailed(ctx, rates);
         if (!mr.boosted) {
           // Nothing to boost; run as a plain SIC pair.
-          const auto rates = core::sic_rates(ctx);
           const SimTime ts = send(strong, rates.stronger, 1.0, bits, true);
           const SimTime tw = send(weak, rates.weaker, 1.0, bits, true);
           span = std::max(ts, tw);
@@ -370,7 +392,6 @@ class ClosedLoopRunner {
         }
         // Fragment 1 of the stronger packet rides the overlap at the
         // interference-limited rate; the weaker packet runs in full.
-        const auto rates = core::sic_rates(ctx);
         SimTime overlap_span = send(weak, rates.weaker, 1.0, bits, true);
         if (mr.overlap_bits > 0.0) {
           overlap_span = std::max(
@@ -563,7 +584,8 @@ class ClosedLoopRunner {
   /// a fresh channel estimate. Re-measure, advance the channel, and
   /// re-match the residual backlog.
   void end_round() {
-    std::vector<int> residual;
+    std::vector<int>& residual = residual_;
+    residual.clear();
     for (std::size_t c = 0; c < pending_.size(); ++c) {
       if (pending_[c] > 0) residual.push_back(static_cast<int>(c));
     }
@@ -602,8 +624,10 @@ class ClosedLoopRunner {
       }
     }
 
-    std::vector<int> pairable;
-    std::vector<int> solo;
+    std::vector<int>& pairable = pairable_;
+    std::vector<int>& solo = solo_;
+    pairable.clear();
+    solo.clear();
     for (const int client : residual) {
       const std::size_t c = static_cast<std::size_t>(client);
       if (failures_[c] >= config_->recovery.demote_after_failures) {
@@ -628,17 +652,20 @@ class ClosedLoopRunner {
       // estimate actually moved get their row recomputed. With channel
       // faults off the estimates never change, so later rounds re-match the
       // shrinking residual set entirely from cache.
-      if (rematch_engine_ == nullptr) {
+      if (!rematch_ready_) {
         core::SchedulerOptions options = config_->recovery.rematch_options;
         options.packet_bits = config_->packet_bits;
-        rematch_engine_ =
-            std::make_unique<core::PairCostEngine>(*adapter_, options);
-        std::vector<channel::LinkBudget> budgets;
-        budgets.reserve(estimates_.size());
-        for (const Milliwatts rss : estimates_) {
-          budgets.push_back(channel::LinkBudget{rss, noise_});
+        if (rematch_engine_) {
+          rematch_engine_->reset(*adapter_, options);
+        } else {
+          rematch_engine_.emplace(*adapter_, options);
         }
-        rematch_engine_->set_clients(budgets);
+        rematch_budgets_.clear();
+        for (const Milliwatts rss : estimates_) {
+          rematch_budgets_.push_back(channel::LinkBudget{rss, noise_});
+        }
+        rematch_engine_->set_clients(rematch_budgets_);
+        rematch_ready_ = true;
       } else {
         for (std::size_t c = 0; c < estimates_.size(); ++c) {
           rematch_engine_->update_client(static_cast<int>(c), estimates_[c]);
@@ -689,15 +716,15 @@ class ClosedLoopRunner {
     }
   }
 
-  EventQueue* queue_;
-  Medium* medium_;
-  AccessPoint* ap_;
+  EventQueue* queue_ = nullptr;
+  Medium* medium_ = nullptr;
+  AccessPoint* ap_ = nullptr;
   std::span<const channel::LinkBudget> clients_;
-  const phy::RateAdapter* adapter_;
-  const UploadSimConfig* config_;
-  FaultModel* faults_;
-  double margin_db_;
-  Milliwatts noise_;
+  const phy::RateAdapter* adapter_ = nullptr;
+  const UploadSimConfig* config_ = nullptr;
+  FaultModel* faults_ = nullptr;
+  double margin_db_ = 0.0;
+  Milliwatts noise_{0.0};
 
   std::vector<Milliwatts> estimates_;   ///< executor's channel knowledge
   std::vector<int> pending_;            ///< unconfirmed frames per client
@@ -709,17 +736,63 @@ class ClosedLoopRunner {
   std::vector<FailCause> last_cause_;   ///< most recent failure per client
   std::vector<std::uint64_t> unrecovered_per_client_;
   std::vector<RunSlot> round_slots_;
-  /// Lazily built on the first re-match; rows track estimate drift after.
-  std::unique_ptr<core::PairCostEngine> rematch_engine_;
+  std::vector<int> residual_;  ///< end_round() scratch
+  std::vector<int> pairable_;
+  std::vector<int> solo_;
+  /// Set up on a run's first re-match (rematch_ready_); rows track
+  /// estimate drift after. Kept across runs for its storage.
+  std::optional<core::PairCostEngine> rematch_engine_;
+  std::vector<channel::LinkBudget> rematch_budgets_;
+  bool rematch_ready_ = false;
   int rounds_ = 0;
   FailureTelemetry telemetry_;
 
   /// Pure observers — write-only from the simulation's point of view.
-  obs::TraceSink* sink_;
-  int executor_tid_;
+  obs::TraceSink* sink_ = nullptr;
+  int executor_tid_ = 0;
   bool round_open_ = false;
   double round_start_us_ = 0.0;
   double slot_start_us_ = 0.0;
+};
+
+/// Everything one run_scheduled_upload call needs, kept per thread and
+/// reset at the start of every call, so a warm thread runs the executor
+/// without rebuilding its objects or regrowing their storage. A reset
+/// leaves each object as its constructor would, which keeps every run
+/// independent of the runs before it on the same thread.
+struct ExecutorWorkspace {
+  ExecutorWorkspace() = default;
+  // Queued events and the fault hook hold the members' addresses.
+  ExecutorWorkspace(const ExecutorWorkspace&) = delete;
+  ExecutorWorkspace& operator=(const ExecutorWorkspace&) = delete;
+
+  EventQueue queue;
+  std::optional<Medium> medium;
+  std::optional<AccessPoint> ap;
+  std::optional<FaultModel> faults;
+  ClosedLoopRunner runner;
+  /// The run in progress. A re-entrant call (an adapter or hook calling
+  /// back into the executor) would reset state the outer run still uses.
+  bool busy = false;
+};
+
+thread_local ExecutorWorkspace tl_workspace;
+
+/// Marks the thread's workspace busy for one run; unmarks it however the
+/// run ends.
+class WorkspaceLease {
+ public:
+  explicit WorkspaceLease(ExecutorWorkspace& ws) : ws_(&ws) {
+    SIC_CHECK_MSG(!ws.busy,
+                  "run_scheduled_upload is not re-entrant on one thread");
+    ws.busy = true;
+  }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+  ~WorkspaceLease() { ws_->busy = false; }
+
+ private:
+  ExecutorWorkspace* ws_;
 };
 
 }  // namespace
@@ -728,31 +801,54 @@ UploadSimResult run_scheduled_upload(
     std::span<const channel::LinkBudget> clients,
     const phy::RateAdapter& adapter, const core::Schedule& schedule,
     const UploadSimConfig& config) {
-  EventQueue queue;
-  auto medium = build_medium(queue, clients, adapter, config);
-  AccessPoint ap{queue, *medium, kApId};
-  FaultModel faults{config.faults, static_cast<int>(clients.size()),
-                    config.seed};
+  ExecutorWorkspace& ws = tl_workspace;
+  const WorkspaceLease lease{ws};
+  const phy::SicDecoderConfig decoder = ap_decoder(clients, config);
+  const int n_nodes = static_cast<int>(clients.size()) + 1;
+  const Milliwatts noise = clients.front().noise;
+
+  EventQueue& queue = ws.queue;
+  queue.reset();
+  if (ws.medium) {
+    ws.medium->reset(n_nodes, noise, adapter, decoder);
+  } else {
+    ws.medium.emplace(queue, n_nodes, noise, adapter, decoder);
+  }
+  Medium& medium = *ws.medium;
+  set_client_gains(medium, clients, config);
+  if (ws.ap) {
+    ws.ap->reset();
+  } else {
+    ws.ap.emplace(queue, medium, kApId);
+  }
+  const AccessPoint& ap = *ws.ap;
+  const int n_clients = static_cast<int>(clients.size());
+  if (ws.faults) {
+    ws.faults->reset(config.faults, n_clients, config.seed);
+  } else {
+    ws.faults.emplace(config.faults, n_clients, config.seed);
+  }
+  FaultModel& faults = *ws.faults;
   if (config.faults.channel_faults()) {
     // The schedule was planned on the nominal (stale) RSS; the packets fly
     // through the drifted channel.
-    for (int i = 0; i < static_cast<int>(clients.size()); ++i) {
-      medium->set_gain(kApId, i + 1,
-                       faults.true_rss(
-                           clients[static_cast<std::size_t>(i)].rss, i));
+    for (int i = 0; i < n_clients; ++i) {
+      medium.set_gain(kApId, i + 1,
+                      faults.true_rss(
+                          clients[static_cast<std::size_t>(i)].rss, i));
     }
   }
   if (config.faults.cancellation_failure_prob > 0.0) {
-    medium->set_decode_fault_hook([&faults](const Frame& f, bool sic_path) {
+    medium.set_decode_fault_hook([&faults](const Frame& f, bool sic_path) {
       return faults.should_fail_decode(f, sic_path);
     });
   }
   if (obs::TraceSink* sink = obs::trace()) {
-    name_trace_tracks(*sink, clients.size(),
-                      static_cast<int>(clients.size()) + 1);
+    name_trace_tracks(*sink, clients.size(), n_clients + 1);
   }
-  ClosedLoopRunner runner{queue,   *medium,  ap,     clients,
-                          adapter, schedule, config, faults};
+  ClosedLoopRunner& runner = ws.runner;
+  runner.reset(queue, medium, *ws.ap, clients, adapter, schedule, config,
+               faults);
   runner.start();
   queue.run_until(config.horizon);
   runner.finalize();
@@ -765,7 +861,7 @@ UploadSimResult run_scheduled_upload(
   result.offered = offered;
   result.delivered = ap.stats().data_received;
   result.completion_s = to_seconds(queue.now());
-  result.medium = medium->stats();
+  result.medium = medium.stats();
   result.failures = runner.telemetry();
   result.unrecovered_per_client = runner.unrecovered_per_client();
   result.failures.duplicate_deliveries = ap.stats().duplicate_data;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -68,6 +69,53 @@ TEST(EventQueue, EventsCanCascade) {
   q.run();
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(q.now(), 9);
+}
+
+TEST(EventQueue, LargeCaptureRunsExactlyOnceInOrder) {
+  // Captures past std::function's small buffer (two pointers) used to
+  // heap-allocate; the queue now stores them inline and moves each event
+  // off the heap before running it. Every callback must still run exactly
+  // once, in (time, seq) order, including ones scheduled from a callback.
+  EventQueue q;
+  std::vector<std::uint64_t> order;
+  std::vector<int> runs(6, 0);
+  const auto schedule = [&](SimTime at, int id) {
+    const std::uint64_t a = 10U * static_cast<std::uint64_t>(id);
+    const std::uint64_t b = a + 1;
+    const std::uint64_t c = a + 2;
+    q.schedule_at(at, [&order, &runs, id, a, b, c] {
+      ++runs[static_cast<std::size_t>(id)];
+      order.push_back(a + b + c);
+    });
+  };
+  schedule(20, 0);
+  schedule(10, 1);
+  schedule(20, 2);
+  q.schedule_at(10, [&] {
+    schedule(10, 3);  // same time, later seq: after id 1
+    schedule(15, 4);
+  });
+  schedule(5, 5);
+  q.run();
+  EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 1, 1, 1}));
+  // ids in run order: 5 (t=5), 1 (t=10), the spawner, 3 (t=10), 4 (t=15),
+  // 0 then 2 (t=20, FIFO).
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{153, 33, 93, 123, 3, 63}));
+  EXPECT_EQ(q.now(), 20);
+}
+
+TEST(EventQueue, ResetDropsPendingEventsAndRewindsClock) {
+  EventQueue q;
+  int fired = 0;
+  q.schedule_at(10, [&] { ++fired; });
+  q.schedule_at(100, [&] { ++fired; });
+  q.run_until(50);
+  q.reset();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.now(), 0);
+  q.schedule_at(5, [&] { fired += 10; });
+  q.run();
+  EXPECT_EQ(fired, 11);
 }
 
 TEST(SimTimeHelpers, Conversions) {
