@@ -5,9 +5,13 @@
 #   scripts/sanitize.sh [asan|tsan] [extra ctest args...]
 #
 # asan (default): ASan + UBSan over the full ctest suite.
-# tsan: ThreadSanitizer over the concurrency surface — the thread pool and
-#       the parallel sweep engine (everything else is single-threaded and
-#       already covered by the asan run).
+# tsan: ThreadSanitizer over the concurrency surface — the thread pool,
+#       the parallel sweep engine, and the tests that plan and serve on
+#       per-thread scratch (the pair-cost engine's build scratch and
+#       matching reduction, the executor workspace and its event queue):
+#       PairCostEngine, DeploymentEngine, Deploy, ExecutorIdentity and
+#       EventQueue. Everything else is single-threaded and already covered
+#       by the asan run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +26,8 @@ if [[ "$mode" == "tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --preset tsan -j "$(nproc)" \
-      -R 'ThreadPool|ParallelSweep' "$@"
+      -R 'ThreadPool|ParallelSweep|PairCostEngine|DeploymentEngine|Deploy|ExecutorIdentity|EventQueue' \
+      "$@"
 else
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$(nproc)"

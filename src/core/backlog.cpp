@@ -6,7 +6,6 @@
 #include "core/matching_tier.hpp"
 #include "core/upload_pair.hpp"
 #include "util/check.hpp"
-#include "util/mathx.hpp"
 
 namespace sic::core {
 
@@ -14,6 +13,8 @@ double solo_drain_airtime(const BacklogClient& client,
                           const phy::RateAdapter& adapter,
                           double packet_bits) {
   SIC_CHECK(client.packets >= 0);
+  // An empty queue takes no time, even on a link no rate serves.
+  if (client.packets == 0) return 0.0;
   return client.packets * solo_airtime(client.link, adapter, packet_bits);
 }
 
@@ -29,7 +30,8 @@ DrainPlan best_drain_plan(const BacklogClient& a, const BacklogClient& b,
 
   DrainPlan best;
   best.mode = DrainMode::kSerial;
-  best.airtime = a.packets * ta + b.packets * tb;
+  best.airtime = solo_drain_airtime(a, adapter, bits) +
+                 solo_drain_airtime(b, adapter, bits);
 
   const auto ctx =
       UploadPairContext::make(a.link.rss, b.link.rss, a.link.noise, adapter,
@@ -96,68 +98,38 @@ double serial_backlog_airtime(std::span<const BacklogClient> clients,
 BacklogSchedule schedule_backlog_upload(std::span<const BacklogClient> clients,
                                         const phy::RateAdapter& adapter,
                                         const BacklogOptions& options) {
-  BacklogSchedule schedule;
-  const int n = static_cast<int>(clients.size());
-  if (n == 0) return schedule;
-  if (n == 1) {
-    const double t =
-        solo_drain_airtime(clients[0], adapter, options.packet_bits);
-    schedule.slots.push_back(
-        BacklogSlot{0, -1, DrainPlan{DrainMode::kSerial, t, 0}});
-    schedule.total_airtime = t;
-    return schedule;
+  const std::size_t n = clients.size();
+  std::vector<double> solo(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    solo[i] = solo_drain_airtime(clients[i], adapter, options.packet_bits);
   }
-
-  const bool odd = (n % 2) != 0;
-  const int m = odd ? n + 1 : n;
-  const int dummy = odd ? n : -1;
-  std::vector<DrainPlan> plans(static_cast<std::size_t>(m) * m);
-  // Per-vertex solo drain times double as the approximate tier's
-  // sparsification baseline (0 for the dummy: its edges always drop and
-  // the fallback closes them).
-  std::vector<double> solo(static_cast<std::size_t>(m), 0.0);
-  matching::CostMatrix costs{m};
-  for (int i = 0; i < n; ++i) {
-    solo[static_cast<std::size_t>(i)] =
-        solo_drain_airtime(clients[i], adapter, options.packet_bits);
-    for (int j = i + 1; j < n; ++j) {
-      const DrainPlan plan =
+  PairingReduction reduction;
+  reduction.begin(solo);
+  const std::span<const int> vertices = reduction.vertices();
+  // Plans of the matched pairs, indexed (first, second) by client.
+  std::vector<DrainPlan> plans(n * n);
+  for (std::size_t u = 0; u < vertices.size(); ++u) {
+    const std::size_t i = static_cast<std::size_t>(vertices[u]);
+    for (std::size_t v = u + 1; v < vertices.size(); ++v) {
+      const std::size_t j = static_cast<std::size_t>(vertices[v]);
+      plans[i * n + j] =
           best_drain_plan(clients[i], clients[j], adapter, options);
-      costs.set(i, j, plan.airtime);
-      plans[static_cast<std::size_t>(i) * m + j] = plan;
-    }
-    if (odd) {
-      costs.set(i, dummy, solo[static_cast<std::size_t>(i)]);
-      plans[static_cast<std::size_t>(i) * m + dummy] =
-          DrainPlan{DrainMode::kSerial, solo[static_cast<std::size_t>(i)], 0};
+      reduction.set_cost(static_cast<int>(u), static_cast<int>(v),
+                         plans[i * n + j].airtime);
     }
   }
+  reduction.solve(options.pairing, options.auto_tier_threshold,
+                  Decibels{0.0});
 
-  std::vector<matching::WeightedEdge> edge_scratch;
-  const matching::Matching matching = run_matching_tier(
-      costs,
-      resolve_matching_tier(options.pairing, n, options.auto_tier_threshold),
-      solo, Decibels{0.0}, edge_scratch);
-
-  for (const auto& [u, v] : matching.pairs) {
-    const int i = std::min(u, v);
-    const int j = std::max(u, v);
-    BacklogSlot slot;
-    slot.first = i;
-    slot.second = (j == dummy) ? -1 : j;
-    slot.plan = plans[static_cast<std::size_t>(i) * m + j];
-    schedule.slots.push_back(slot);
-    schedule.total_airtime += slot.plan.airtime;
+  BacklogSchedule schedule;
+  for (const ReducedSlot& s : reduction.slots()) {
+    schedule.slots.push_back(BacklogSlot{
+        s.first, s.second,
+        s.second < 0 ? DrainPlan{DrainMode::kSerial, s.airtime, 0}
+                     : plans[static_cast<std::size_t>(s.first) * n +
+                             static_cast<std::size_t>(s.second)]});
   }
-  std::sort(schedule.slots.begin(), schedule.slots.end(),
-            [](const BacklogSlot& x, const BacklogSlot& y) {
-              // Bit-exact tie detection keeps the sort stable across
-              // platforms; airtimes are computed identically on all paths.
-              if (!bitwise_equal(x.plan.airtime, y.plan.airtime)) {
-                return x.plan.airtime > y.plan.airtime;
-              }
-              return x.first < y.first;
-            });
+  schedule.total_airtime = reduction.total_airtime();
   return schedule;
 }
 

@@ -1,14 +1,12 @@
 #include "core/pair_cost_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
 #include "core/multirate.hpp"
 #include "core/power_control.hpp"
-#include "matching/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "util/check.hpp"
@@ -23,34 +21,81 @@ namespace {
 /// engine per AP for its whole run, so per-engine scratch would be paid
 /// once per AP. Builds never nest on a thread.
 struct BuildScratch {
-  matching::CostMatrix costs{0};
+  PairingReduction reduction;
+  std::vector<double> solo;                   ///< solo airtime per position
   std::vector<int> row_cols;                  ///< dirty columns of a row
   std::vector<double> row_sinr;               ///< both SIC SINR lanes
   std::vector<BitsPerSecond> row_rates;       ///< rate_span results
-  std::vector<double> serial;                 ///< per-vertex solo airtime
-  std::vector<matching::WeightedEdge> edges;  ///< sparse-tier edge list
 };
 
 thread_local BuildScratch tl_build_scratch;
 
+/// The t_ij of Fig. 12 for a pair whose margin-derated context is \p ctx
+/// and whose unscaled SIC rates are \p unit (sic_rates(ctx), looked up
+/// once: plain SIC, the power-control search's β = 1 start and
+/// multirate's overlap all share them). \p serial_airtime is the
+/// unmargined solo-airtime sum of the two clients. Candidates are tried in
+/// a fixed order and only a strictly shorter airtime replaces the best.
+inline PairPlan select_pair_plan(const UploadPairContext& ctx,
+                                 const SicRatePair& unit,
+                                 double serial_airtime,
+                                 const SchedulerOptions& options) {
+  PairPlan best{PairMode::kSerial, serial_airtime, 1.0};
+  const double t_sic = sic_airtime(unit, ctx.packet_bits);
+  if (t_sic < best.airtime) {
+    best = PairPlan{PairMode::kSic, t_sic, 1.0};
+  }
+  if (options.enable_power_control) {
+    const auto pc = optimize_weaker_power(ctx, unit);
+    if (pc.applied && pc.airtime < best.airtime) {
+      best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
+    }
+  }
+  if (options.enable_multirate) {
+    const auto mr = multirate_airtime_detailed(ctx, unit);
+    if (mr.boosted && mr.airtime < best.airtime) {
+      best = PairPlan{PairMode::kSicMultirate, mr.airtime, 1.0};
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
+PairPlan best_pair_plan(const channel::LinkBudget& a,
+                        const channel::LinkBudget& b,
+                        const phy::RateAdapter& adapter,
+                        const SchedulerOptions& options) {
+  SIC_CHECK_MSG(a.noise == b.noise,
+                "pair plan assumes a common receiver noise floor");
+  SIC_CHECK_MSG(options.admission_margin_db.value() >= 0.0,
+                "admission margin must be >= 0 dB");
+  // Concurrent candidates are evaluated on a derated view of the channel
+  // (both RSS backed off by the admission margin); the serial baseline
+  // keeps the clean rates. A margined pair is therefore only admitted when
+  // it beats serial *with headroom to spare*, and its recorded airtime is
+  // the conservative one the executor realizes.
+  const double derate = Decibels{-options.admission_margin_db.value()}.linear();
+  const auto ctx = UploadPairContext::make(a.rss * derate, b.rss * derate,
+                                           a.noise, adapter,
+                                           options.packet_bits);
+  return select_pair_plan(ctx, sic_rates(ctx),
+                          solo_airtime(a, adapter, options.packet_bits) +
+                              solo_airtime(b, adapter, options.packet_bits),
+                          options);
+}
+
 PairCostEngine::PairCostEngine(const phy::RateAdapter& adapter,
-                               SchedulerOptions options,
-                               Decibels invalidation_epsilon)
+                               SchedulerOptions options)
     : adapter_(&adapter) {
-  reset(adapter, options, invalidation_epsilon);
+  reset(adapter, options);
 }
 
 void PairCostEngine::reset(const phy::RateAdapter& adapter,
-                           SchedulerOptions options,
-                           Decibels invalidation_epsilon) {
-  SIC_CHECK_MSG(invalidation_epsilon.value() >= 0.0,
-                "invalidation epsilon must be >= 0 dB");
+                           SchedulerOptions options) {
   adapter_ = &adapter;
   options_ = options;
   derate_ = Decibels{-options.admission_margin_db.value()}.linear();
-  epsilon_ = invalidation_epsilon;
   noise_ = Milliwatts{0.0};
   n_ = 0;
   all_indices_.clear();
@@ -105,16 +150,8 @@ void PairCostEngine::update_client(int client, Milliwatts rss) {
         ") — stale handoff against a changed topology?");
   }
   const std::size_t c = static_cast<std::size_t>(client);
-  const double old_mw = rss_[c].value();
-  const double new_mw = rss.value();
-  // Bit-exact fast path: an unchanged RSS must not touch the fingerprint.
-  if (bitwise_equal(new_mw, old_mw)) return;
-  if (epsilon_ > Decibels{0.0} && old_mw > 0.0 && new_mw > 0.0) {
-    const Decibels drift = Decibels::from_linear(new_mw / old_mw);
-    // Within tolerance: the row keeps serving plans of the fingerprinted
-    // estimate, so the fingerprint itself must not move either.
-    if (std::abs(drift.value()) <= epsilon_.value()) return;
-  }
+  // Bit-exact: an unchanged RSS keeps the row and its cached plans.
+  if (bitwise_equal(rss.value(), rss_[c].value())) return;
   rss_[c] = rss;
   refresh_derived(client);
   invalidate_row(client);
@@ -133,9 +170,10 @@ void PairCostEngine::invalidate_row(int client) {
 void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
   const std::size_t n = static_cast<std::size_t>(n_);
   const std::size_t count = cols.size();
-  // Hoisted TwoSignalArrival::make preconditions: one noise check per row,
-  // not one per pair.
+  // Hoisted UploadPairContext::make preconditions: one noise and packet
+  // size check per row, not one per pair.
   SIC_CHECK_MSG(noise_.value() > 0.0, "noise floor must be positive");
+  SIC_CHECK(options_.packet_bits > 0.0);
   const double noise_mw = noise_.value();
 
   // Pass 1 — stronger/weaker normalization and both SIC SINRs, streaming
@@ -163,42 +201,22 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
   // virtual dispatch instead of two per pair.
   adapter_->rate_span(row_sinr, row_rates);
 
-  // Pass 3 — plan selection. This replicates best_pair_plan_from_context
-  // decision-for-decision (same candidate order, same strict-< rules) so
-  // the batched row is bit-identical to the scalar path; the engine's
-  // bit-identity tests pin the two together.
+  // Pass 3 — plan selection, with the pair's SIC rates from pass 2 (its
+  // SINRs are sic_rates' expressions on the same normalized context).
   for (std::size_t t = 0; t < count; ++t) {
     const int gj = cols[t];
     const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
     const std::size_t b = static_cast<std::size_t>(std::max(gi, gj));
-    PairPlan best;
-    best.mode = PairMode::kSerial;
-    best.airtime = solo_airtime_[a] + solo_airtime_[b];
-    // The pair's unscaled SIC rates, looked up once: plain SIC, the power
-    // control search's β = 1 start and multirate's overlap all share them
-    // (pass 1 computes sic_rates' SINRs with its expressions).
-    const SicRatePair unit{row_rates[t], row_rates[count + t]};
-    const double t_sic = sic_airtime(unit, options_.packet_bits);
-    if (t_sic < best.airtime) {
-      best = PairPlan{PairMode::kSic, t_sic, 1.0};
-    }
-    if (options_.enable_power_control || options_.enable_multirate) {
-      const auto ctx =
-          UploadPairContext::make(derated_rss_[a], derated_rss_[b], noise_,
-                                  *adapter_, options_.packet_bits);
-      if (options_.enable_power_control) {
-        const auto pc = optimize_weaker_power(ctx, unit);
-        if (pc.applied && pc.airtime < best.airtime) {
-          best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
-        }
-      }
-      if (options_.enable_multirate) {
-        const auto mr = multirate_airtime_detailed(ctx, unit);
-        if (mr.boosted && mr.airtime < best.airtime) {
-          best = PairPlan{PairMode::kSicMultirate, mr.airtime, 1.0};
-        }
-      }
-    }
+    // UploadPairContext::make's normalization; its checks ran above.
+    const Milliwatts s1 = derated_rss_[a];
+    const Milliwatts s2 = derated_rss_[b];
+    const UploadPairContext ctx{
+        s1 >= s2 ? phy::TwoSignalArrival{s1, s2, noise_}
+                 : phy::TwoSignalArrival{s2, s1, noise_},
+        options_.packet_bits, adapter_};
+    const PairPlan best = select_pair_plan(
+        ctx, SicRatePair{row_rates[t], row_rates[count + t]},
+        solo_airtime_[a] + solo_airtime_[b], options_);
     plans_[a * n + b] = best;
     plans_[b * n + a] = best;
     valid_[a * n + b] = 1;
@@ -217,40 +235,38 @@ Schedule PairCostEngine::schedule_subset(std::span<const int> clients) {
 Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
   Schedule schedule;
   schedule.admission_margin_db = options_.admission_margin_db;
-  const int k = static_cast<int>(idx.size());
-  if (k == 0) return schedule;
+  if (idx.empty()) return schedule;
   ++stats_.builds;
-  if (k == 1) {
-    const double t = solo_airtime_[static_cast<std::size_t>(idx[0])];
-    schedule.slots.push_back(
-        ScheduledSlot{0, -1, PairPlan{PairMode::kSolo, t, 1.0}});
-    schedule.total_airtime = t;
-    publish_stats();
-    return schedule;
-  }
 
-  // Fig. 12 reduction: complete graph over the (sub)set, dummy vertex for
-  // odd counts. Only dirty pairs reach the kernel — a row at a time, so
-  // the batched passes amortize — everything else is a cache read.
-  const bool odd = (k % 2) != 0;
-  const int m = odd ? k + 1 : k;
-  const int dummy = odd ? k : -1;
-  const std::size_t n = static_cast<std::size_t>(n_);
-  obs::MetricsRegistry* reg = obs::metrics();
   BuildScratch& scratch = tl_build_scratch;
-  matching::CostMatrix& costs = scratch.costs;
-  std::vector<int>& row_cols = scratch.row_cols;
-  costs.reset(m);
-  {
+  scratch.solo.clear();
+  for (const int c : idx) {
+    scratch.solo.push_back(solo_airtime_[static_cast<std::size_t>(c)]);
+  }
+  PairingReduction& reduction = scratch.reduction;
+  reduction.begin(scratch.solo);
+  const std::span<const int> vertices = reduction.vertices();
+  const int k = static_cast<int>(vertices.size());
+  const std::size_t n = static_cast<std::size_t>(n_);
+  // Engine client at position \p pos of idx, and at matching vertex \p u.
+  const auto at = [&](int pos) { return idx[static_cast<std::size_t>(pos)]; };
+  const auto client = [&](int u) {
+    return at(vertices[static_cast<std::size_t>(u)]);
+  };
+  obs::MetricsRegistry* reg = obs::metrics();
+  if (k >= 2) {
+    // Only dirty pairs reach the kernel — a row at a time, so the batched
+    // passes amortize — everything else is a cache read.
+    std::vector<int>& row_cols = scratch.row_cols;
     obs::ScopedTimer kernel_timer{
         reg != nullptr
             ? &reg->histogram("scheduler.pair_engine.kernel_wall_s")
             : nullptr};
     for (int u = 0; u < k; ++u) {
-      const int gi = idx[static_cast<std::size_t>(u)];
+      const int gi = client(u);
       row_cols.clear();
       for (int v = u + 1; v < k; ++v) {
-        const int gj = idx[static_cast<std::size_t>(v)];
+        const int gj = client(v);
         const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
         const std::size_t b = static_cast<std::size_t>(std::max(gi, gj));
         if (valid_[a * n + b] != 0) {
@@ -261,80 +277,37 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
       }
       if (!row_cols.empty()) compute_row(gi, row_cols);
       for (int v = u + 1; v < k; ++v) {
-        const int gj = idx[static_cast<std::size_t>(v)];
-        const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
-        const std::size_t b = static_cast<std::size_t>(std::max(gi, gj));
-        costs.set(u, v, plans_[a * n + b].airtime);
-      }
-      if (odd) {
-        costs.set(u, dummy, solo_airtime_[static_cast<std::size_t>(gi)]);
+        const int gj = client(v);
+        reduction.set_cost(u, v,
+                           plans_[static_cast<std::size_t>(gi) * n +
+                                  static_cast<std::size_t>(gj)]
+                               .airtime);
       }
     }
   }
 
-  // Per-vertex serial (solo) cost feeding the approximate tier's
-  // sparsification; the dummy's is 0 so its edges are always dropped and
-  // the fallback pairs it.
-  std::vector<double>& serial = scratch.serial;
-  serial.resize(static_cast<std::size_t>(m));
-  for (int u = 0; u < k; ++u) {
-    serial[static_cast<std::size_t>(u)] =
-        solo_airtime_[static_cast<std::size_t>(idx[static_cast<std::size_t>(u)])];
-  }
-  if (odd) serial[static_cast<std::size_t>(dummy)] = 0.0;
-
-  const MatchingTier tier =
-      resolve_matching_tier(options_.pairing, k, options_.auto_tier_threshold);
-  last_tier_ = tier;
-  const matching::Matching matching =
-      run_matching_tier(costs, tier, serial, options_.admission_margin_db,
-                        scratch.edges);
-  // kAuto below the threshold: also run the approximate matcher
-  // observationally and publish the relative total-airtime gap — the
+  // kAuto below the threshold also runs the approximate matcher
+  // observationally and publishes the relative total-airtime gap — the
   // calibration signal for choosing the crossover. Observer-pure: the
-  // schedule is built from the exact matching either way, and this branch
-  // only runs with a registry attached.
-  if (options_.pairing == SchedulerOptions::Pairing::kAuto &&
-      tier == MatchingTier::kBlossom && reg != nullptr &&
-      matching.total_cost > 0.0 && std::isfinite(matching.total_cost)) {
-    const matching::Matching shadow =
-        run_matching_tier(costs, MatchingTier::kApprox, serial,
-                          options_.admission_margin_db, scratch.edges);
-    if (std::isfinite(shadow.total_cost)) {
-      reg->histogram("scheduler.matching.gap")
-          .observe((shadow.total_cost - matching.total_cost) /
-                   matching.total_cost);
-    }
+  // schedule comes from the exact matching either way, and the shadow run
+  // only happens with a registry attached.
+  reduction.solve(options_.pairing, options_.auto_tier_threshold,
+                  options_.admission_margin_db,
+                  options_.pairing == SchedulerOptions::Pairing::kAuto &&
+                      reg != nullptr);
+  if (const auto tier = reduction.tier()) last_tier_ = *tier;
+  if (const auto gap = reduction.shadow_gap(); gap && reg != nullptr) {
+    reg->histogram("scheduler.matching.gap").observe(*gap);
   }
-
-  for (const auto& [a, b] : matching.pairs) {
-    const int u = std::min(a, b);
-    const int v = std::max(a, b);
-    ScheduledSlot slot;
-    slot.first = u;
-    slot.second = (v == dummy) ? -1 : v;
-    if (v == dummy) {
-      const std::size_t gu = static_cast<std::size_t>(idx[static_cast<std::size_t>(u)]);
-      slot.plan = PairPlan{PairMode::kSolo, solo_airtime_[gu], 1.0};
-    } else {
-      const std::size_t gu = static_cast<std::size_t>(idx[static_cast<std::size_t>(u)]);
-      const std::size_t gv = static_cast<std::size_t>(idx[static_cast<std::size_t>(v)]);
-      slot.plan = plans_[gu * n + gv];
+  for (const ReducedSlot& s : reduction.slots()) {
+    PairPlan plan{PairMode::kSolo, s.airtime, 1.0};
+    if (s.second >= 0) {
+      plan = plans_[static_cast<std::size_t>(at(s.first)) * n +
+                    static_cast<std::size_t>(at(s.second))];
     }
-    schedule.slots.push_back(slot);
-    schedule.total_airtime += slot.plan.airtime;
+    schedule.slots.push_back(ScheduledSlot{s.first, s.second, plan});
   }
-  // Deterministic presentation: longest slot first (the AP may use any
-  // order; tests rely on a stable one).
-  std::sort(schedule.slots.begin(), schedule.slots.end(),
-            [](const ScheduledSlot& a, const ScheduledSlot& b) {
-              // Bit-exact tie detection keeps the sort stable across
-              // platforms; airtimes are computed identically on all paths.
-              if (!bitwise_equal(a.plan.airtime, b.plan.airtime)) {
-                return a.plan.airtime > b.plan.airtime;
-              }
-              return a.first < b.first;
-            });
+  schedule.total_airtime = reduction.total_airtime();
   publish_stats();
   return schedule;
 }

@@ -6,30 +6,26 @@
 ///
 /// The reduction's dominant cost at realistic client counts is not the
 /// matching but the all-pairs completion-time matrix feeding it: n(n−1)/2
-/// best_pair_plan evaluations, each re-deriving per-client state (solo
-/// airtime, margin-derated RSS) that only depends on one endpoint. The
-/// engine splits that work into
+/// pair-plan evaluations, each re-deriving per-client state (solo airtime,
+/// margin-derated RSS) that only depends on one endpoint. The engine splits
+/// that work into
 ///
 ///  - per-client derived state, computed once per client and reused across
 ///    the client's whole row (SoA layout: rss / derated rss / solo airtime
 ///    in parallel arrays),
-///  - a pair kernel shared with best_pair_plan (see
-///    best_pair_plan_from_context) evaluating a row of pairs against one
-///    client's precomputed state, and
+///  - a batched row kernel whose plan selection is the one best_pair_plan
+///    runs, so the two cannot disagree, and
 ///  - a pair-plan cache with dirty-row invalidation keyed on the client's
 ///    channel fingerprint (its linear RSS): update_client() invalidates a
-///    row only when the new estimate moved beyond a configurable epsilon,
-///    so a re-matching round after re-estimation recomputes O(Δn·n) plans
-///    instead of O(n²), with the plan table reused across rounds instead of
-///    reallocated (and the cost matrix and row scratch shared by every
-///    engine on the thread).
+///    row only when the estimate actually changed, so a re-matching round
+///    after re-estimation recomputes O(Δn·n) plans instead of O(n²), with
+///    the plan table reused across rounds instead of reallocated (and the
+///    matching reduction and row scratch shared by every engine on the
+///    thread).
 ///
-/// Contract: schedules are bit-identical to the historical from-scratch
-/// path (same PairPlans, same matching input, same slot order) whenever the
-/// invalidation epsilon is 0 dB — the default — because the cache only ever
-/// skips recomputations whose inputs are unchanged. A nonzero epsilon is an
-/// explicit approximation knob: rows within epsilon keep serving the plans
-/// of their *fingerprinted* (stale) RSS. Pinned by
+/// Contract: schedules are bit-identical to a from-scratch build (same
+/// PairPlans, same matching input, same slot order), because the cache
+/// only ever skips recomputations whose inputs are unchanged. Pinned by
 /// tests/pair_cost_engine_test.cpp.
 ///
 /// Observability: each schedule() / schedule_subset() publishes engine
@@ -54,26 +50,21 @@ namespace sic::core {
 /// never on wall clock or thread placement).
 struct PairCostEngineStats {
   std::uint64_t builds = 0;             ///< schedule()/schedule_subset() calls
-  std::uint64_t row_invalidations = 0;  ///< rows dirtied beyond epsilon
+  std::uint64_t row_invalidations = 0;  ///< rows dirtied by a new estimate
   std::uint64_t pair_evals = 0;         ///< pair plans computed by the kernel
   std::uint64_t pair_cache_hits = 0;    ///< pair plans served from cache
 };
 
 class PairCostEngine {
  public:
-  /// \p adapter must outlive the engine. \p invalidation_epsilon is the
-  /// channel-fingerprint tolerance of update_client(): estimates moving at
-  /// most this many dB keep their cached row. 0 dB (the default) preserves
-  /// bit-identity with from-scratch scheduling.
-  PairCostEngine(const phy::RateAdapter& adapter, SchedulerOptions options,
-                 Decibels invalidation_epsilon = Decibels{0.0});
+  /// \p adapter must outlive the engine.
+  PairCostEngine(const phy::RateAdapter& adapter, SchedulerOptions options);
 
   /// Returns the engine to the state the constructor leaves with these
   /// arguments — no clients, zeroed stats — keeping its storage, so a
   /// caller that re-plans a new client set can reuse one engine instead
   /// of constructing another.
-  void reset(const phy::RateAdapter& adapter, SchedulerOptions options,
-             Decibels invalidation_epsilon = Decibels{0.0});
+  void reset(const phy::RateAdapter& adapter, SchedulerOptions options);
 
   /// Installs a new client set: every row becomes dirty (a full rebuild),
   /// unconditionally — set_clients means "new topology", so counters stay
@@ -82,8 +73,8 @@ class PairCostEngine {
   void set_clients(std::span<const channel::LinkBudget> clients);
 
   /// Re-estimates one client's RSS. Invalidates the client's row only when
-  /// the estimate moved beyond the invalidation epsilon; otherwise the row
-  /// keeps its fingerprinted RSS and cached plans. Throws std::out_of_range
+  /// the estimate changed (bit for bit); otherwise the row keeps its cached
+  /// plans. Throws std::out_of_range
   /// when \p client is not a current client index — callers racing a
   /// handoff against a topology change get a typed error instead of an
   /// out-of-bounds write.
@@ -94,7 +85,8 @@ class PairCostEngine {
   [[nodiscard]] const PairCostEngineStats& stats() const { return stats_; }
 
   /// The concrete matcher the most recent schedule()/schedule_subset()
-  /// resolved to (meaningful once a build with >= 2 clients ran); how a
+  /// resolved to (meaningful once a build with >= 2 servable clients ran;
+  /// see PairingReduction for clients no rate serves); how a
   /// kAuto policy reports which side of the threshold it landed on.
   [[nodiscard]] MatchingTier last_matching_tier() const { return last_tier_; }
 
@@ -112,8 +104,7 @@ class PairCostEngine {
   /// \p gi against every client in \p cols in three passes over SoA
   /// scratch — (1) stronger/weaker normalization + both SIC SINRs,
   /// (2) one rate_span() call for all rate lookups (single virtual
-  /// dispatch per row), (3) plan selection replicating
-  /// best_pair_plan_from_context bit-for-bit.
+  /// dispatch per row), (3) best_pair_plan's plan selection on those rates.
   void compute_row(int gi, std::span<const int> cols);
   [[nodiscard]] Schedule schedule_indices(std::span<const int> idx);
   void refresh_derived(int client);
@@ -123,7 +114,6 @@ class PairCostEngine {
   const phy::RateAdapter* adapter_;
   SchedulerOptions options_;
   double derate_ = 1.0;  ///< linear admission-margin back-off, hoisted
-  Decibels epsilon_{0.0};
   Milliwatts noise_{0.0};
   int n_ = 0;
 

@@ -98,19 +98,12 @@ struct PairPlan {
                                   double packet_bits);
 
 /// The t_ij of Fig. 12: minimum joint completion time for a client pair
-/// under the enabled techniques, with the winning mode recorded.
+/// under the enabled techniques, with the winning mode recorded. Defined
+/// beside PairCostEngine's row kernel, which runs the same selection.
 [[nodiscard]] PairPlan best_pair_plan(const channel::LinkBudget& a,
                                       const channel::LinkBudget& b,
                                       const phy::RateAdapter& adapter,
                                       const SchedulerOptions& options);
-
-/// The mode-selection core of best_pair_plan, split out so callers holding
-/// precomputed per-client state (the PairCostEngine) share one kernel with
-/// the from-scratch path: \p ctx is the pair's margin-derated context and
-/// \p serial_airtime the unmargined solo-airtime sum of the two clients.
-[[nodiscard]] PairPlan best_pair_plan_from_context(
-    const UploadPairContext& ctx, double serial_airtime,
-    const SchedulerOptions& options);
 
 /// One slot of the final schedule. Client indices refer to the input span;
 /// second == -1 marks the odd client transmitting alone.
@@ -136,6 +129,7 @@ struct Schedule {
 
 /// The SIC-aware schedule for one backlogged packet per client.
 /// Guaranteed never worse than serial_upload_airtime under the same policy.
+/// A client no rate serves gets a kSolo slot of infinite airtime.
 [[nodiscard]] Schedule schedule_upload(
     std::span<const channel::LinkBudget> clients,
     const phy::RateAdapter& adapter, const SchedulerOptions& options = {});

@@ -19,7 +19,8 @@
 /// recovers via bounded per-slot retries, graceful mode degradation
 /// (multirate -> SIC -> power control -> serial), demotion of
 /// chronically-failing clients to solo slots, and periodic re-estimation +
-/// re-matching of the residual backlog through core::schedule_upload.
+/// re-matching of the residual backlog through a core::PairCostEngine kept
+/// across rounds (schedule_subset over the pairable residual clients).
 /// With every fault knob at zero the recovery layer never engages and the
 /// run is bit-identical to the open-loop executor it replaced.
 ///

@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -14,22 +13,6 @@ namespace sic::obs {
 namespace {
 
 thread_local FlightRecorder* g_flight = nullptr;
-
-/// True when \p text is already a self-contained JSON number, so config
-/// values like "7" or "0.05" stay numeric in the document (same rule as
-/// the trace sink's arg emitter).
-bool is_json_number(std::string_view text) {
-  if (text.empty()) return false;
-  for (const char c : text) {
-    const bool plain = (c >= '0' && c <= '9') || c == '+' || c == '-' ||
-                       c == '.' || c == 'e' || c == 'E';
-    if (!plain) return false;
-  }
-  char* end = nullptr;
-  const std::string owned{text};
-  std::strtod(owned.c_str(), &end);
-  return end == owned.c_str() + owned.size();
-}
 
 }  // namespace
 
@@ -102,7 +85,7 @@ std::string FlightRecorder::postmortem_json(
     first = false;
     detail::append_json_string(os, key);
     os << ':';
-    if (is_json_number(value)) {
+    if (detail::is_json_number(value)) {
       os << value;
     } else {
       detail::append_json_string(os, value);

@@ -1,47 +1,14 @@
 #include "obs/trace_sink.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "obs/json_util.hpp"
 
 namespace sic::obs {
 
 namespace {
 
 thread_local TraceSink* g_trace = nullptr;
-
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-/// True when \p text is already a self-contained JSON number, so arg
-/// values like "3" or "2.5" stay numeric in the viewer.
-bool is_json_number(std::string_view text) {
-  if (text.empty()) return false;
-  // strtod alone would also accept hex ("0x10"), "inf" and "nan" — none of
-  // which are JSON — so restrict to the plain decimal alphabet first.
-  for (const char c : text) {
-    const bool plain = (c >= '0' && c <= '9') || c == '+' || c == '-' ||
-                       c == '.' || c == 'e' || c == 'E';
-    if (!plain) return false;
-  }
-  char* end = nullptr;
-  const std::string owned{text};
-  std::strtod(owned.c_str(), &end);
-  return end == owned.c_str() + owned.size();
-}
 
 void append_number(std::string& out, double value) {
   char buf[40];
@@ -65,7 +32,7 @@ void TraceSink::event(char ph, std::string_view name, double ts_us,
   std::string line;
   line.reserve(96);
   line += "{\"name\":";
-  append_escaped(line, name);
+  detail::append_json_string(line, name);
   line += ",\"ph\":\"";
   line += ph;
   line += '"';
@@ -86,12 +53,12 @@ void TraceSink::event(char ph, std::string_view name, double ts_us,
     for (const auto& [key, value] : args) {
       if (!first) line += ',';
       first = false;
-      append_escaped(line, key);
+      detail::append_json_string(line, key);
       line += ':';
-      if (is_json_number(value)) {
+      if (detail::is_json_number(value)) {
         line += value;
       } else {
-        append_escaped(line, value);
+        detail::append_json_string(line, value);
       }
     }
     line += '}';

@@ -62,7 +62,6 @@
 #include "mac/access_point.hpp"        // IWYU pragma: export
 #include "mac/chaos.hpp"               // IWYU pragma: export
 #include "mac/deployment_engine.hpp"   // IWYU pragma: export
-#include "mac/deployment_medium.hpp"   // IWYU pragma: export
 #include "mac/event_queue.hpp"   // IWYU pragma: export
 #include "mac/medium.hpp"        // IWYU pragma: export
 #include "mac/station.hpp"       // IWYU pragma: export

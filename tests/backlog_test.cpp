@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/upload_pair.hpp"
+#include "phy/rate_table.hpp"
 #include "util/rng.hpp"
 
 namespace sic::core {
@@ -188,6 +193,153 @@ TEST(BacklogSchedule, BlossomBeatsGreedyPairing) {
   EXPECT_LE(schedule_backlog_upload(clients, kShannon, blossom).total_airtime,
             schedule_backlog_upload(clients, kShannon, greedy).total_airtime +
                 1e-9);
+}
+
+TEST(BacklogSchedule, UnservableClientDrainsSoloInsteadOfAborting) {
+  // 802.11g serves nothing below 6 dB: that client's drain time, and every
+  // pair cost it is part of, is infinite. It gets a solo slot and the other
+  // clients are scheduled exactly as without it.
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  const std::vector<BacklogClient> servable{
+      client_db(25.0, 3), client_db(18.0, 2), client_db(12.0, 5),
+      client_db(30.0, 1)};
+  std::vector<BacklogClient> clients = servable;
+  clients.insert(clients.begin() + 1, client_db(4.0, 2));
+  const std::vector<int> position{0, 2, 3, 4};
+  const BacklogSchedule got =
+      schedule_backlog_upload(clients, dot11g, BacklogOptions{});
+  const BacklogSchedule want =
+      schedule_backlog_upload(servable, dot11g, BacklogOptions{});
+  ASSERT_EQ(got.slots.size(), want.slots.size() + 1);
+  EXPECT_EQ(got.slots[0].first, 1);
+  EXPECT_EQ(got.slots[0].second, -1);
+  EXPECT_EQ(got.slots[0].plan.mode, DrainMode::kSerial);
+  EXPECT_EQ(got.slots[0].plan.airtime,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(got.total_airtime, std::numeric_limits<double>::infinity());
+  for (std::size_t s = 0; s < want.slots.size(); ++s) {
+    const BacklogSlot& g = got.slots[s + 1];
+    const BacklogSlot& w = want.slots[s];
+    EXPECT_EQ(g.first, position[static_cast<std::size_t>(w.first)]);
+    EXPECT_EQ(g.second,
+              w.second < 0 ? -1 : position[static_cast<std::size_t>(w.second)]);
+    EXPECT_EQ(g.plan.mode, w.plan.mode);
+    EXPECT_EQ(g.plan.airtime, w.plan.airtime);
+    EXPECT_EQ(g.plan.rounds, w.plan.rounds);
+  }
+
+  // An empty queue on such a link takes no time and pairs like any other.
+  clients[1].packets = 0;
+  EXPECT_EQ(solo_drain_airtime(clients[1], dot11g, 12000.0), 0.0);
+  const BacklogSchedule empty_queue =
+      schedule_backlog_upload(clients, dot11g, BacklogOptions{});
+  EXPECT_EQ(empty_queue.total_airtime, want.total_airtime);
+}
+
+/// Identity corpus of the backlog planner: n = 1…24 clients on Shannon and
+/// 802.11g (every client servable), packing on and off, under each pairing
+/// policy. kAuto runs with a threshold of 12 so both of its sides appear.
+/// Every schedule is folded into one FNV digest, pinned to the value the
+/// planner produced before it shared the matching reduction with the
+/// pair-cost engine.
+constexpr std::uint64_t kPinnedBacklogDigest = 0xe6d2134340662579ULL;
+constexpr int kBacklogMaxClients = 24;
+
+struct BacklogCase {
+  std::vector<BacklogClient> clients;
+  const phy::RateAdapter* adapter = nullptr;
+  BacklogOptions options;
+};
+
+const phy::DiscreteRateAdapter kDot11g{phy::RateTable::dot11g()};
+
+/// Case i: n = 1 + i % 24; then adapter, packing and pairing policy cycle
+/// so every combination meets every size.
+BacklogCase make_backlog_case(int i) {
+  constexpr std::array kPairings{
+      SchedulerOptions::Pairing::kBlossom, SchedulerOptions::Pairing::kGreedy,
+      SchedulerOptions::Pairing::kApprox, SchedulerOptions::Pairing::kAuto};
+  Rng rng = Rng::at(20261020, static_cast<std::uint64_t>(i));
+  const int n = 1 + i % kBacklogMaxClients;
+  const int combo = i / kBacklogMaxClients;
+  const bool shannon = combo % 2 == 0;
+  BacklogCase c;
+  c.adapter = shannon ? static_cast<const phy::RateAdapter*>(&kShannon)
+                      : static_cast<const phy::RateAdapter*>(&kDot11g);
+  c.options.enable_packing = (combo / 2) % 2 == 0;
+  c.options.pairing = kPairings[static_cast<std::size_t>(combo / 4)];
+  c.options.auto_tier_threshold = 12;
+  // 802.11g's lowest threshold is 6 dB: every client stays above it.
+  const double min_snr_db = shannon ? 3.0 : 7.0;
+  for (int k = 0; k < n; ++k) {
+    c.clients.push_back(BacklogClient{
+        channel::LinkBudget{
+            Milliwatts{Decibels{rng.uniform(min_snr_db, 40.0)}.linear()}, kN0},
+        rng.chance(0.1) ? 0 : rng.uniform_int(1, 8)});
+  }
+  return c;
+}
+
+constexpr int kBacklogCorpusSize = kBacklogMaxClients * 16;
+
+void fnv_add(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+std::uint64_t backlog_corpus_digest() {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < kBacklogCorpusSize; ++i) {
+    const BacklogCase c = make_backlog_case(i);
+    const BacklogSchedule s =
+        schedule_backlog_upload(c.clients, *c.adapter, c.options);
+    fnv_add(h, std::bit_cast<std::uint64_t>(s.total_airtime));
+    fnv_add(h, s.slots.size());
+    for (const BacklogSlot& slot : s.slots) {
+      fnv_add(h, static_cast<std::uint64_t>(slot.first));
+      fnv_add(h, static_cast<std::uint64_t>(slot.second));
+      fnv_add(h, static_cast<std::uint64_t>(slot.plan.mode));
+      fnv_add(h, std::bit_cast<std::uint64_t>(slot.plan.airtime));
+      fnv_add(h, static_cast<std::uint64_t>(slot.plan.rounds));
+    }
+  }
+  return h;
+}
+
+TEST(BacklogIdentity, CorpusCoversEveryDisciplineAndTier) {
+  std::array<int, 3> modes{};
+  int solo_slots = 0;
+  int auto_approx = 0;
+  int auto_blossom = 0;
+  for (int i = 0; i < kBacklogCorpusSize; ++i) {
+    const BacklogCase c = make_backlog_case(i);
+    const BacklogSchedule s =
+        schedule_backlog_upload(c.clients, *c.adapter, c.options);
+    for (const BacklogSlot& slot : s.slots) {
+      if (slot.second < 0) {
+        ++solo_slots;
+      } else {
+        ++modes[static_cast<std::size_t>(slot.plan.mode)];
+      }
+    }
+    if (c.options.pairing == SchedulerOptions::Pairing::kAuto &&
+        c.clients.size() >= 2) {
+      ++(static_cast<int>(c.clients.size()) >= c.options.auto_tier_threshold
+             ? auto_approx
+             : auto_blossom);
+    }
+  }
+  for (const int count : modes) EXPECT_GT(count, 0);
+  EXPECT_GT(solo_slots, 0);
+  EXPECT_GT(auto_approx, 0);
+  EXPECT_GT(auto_blossom, 0);
+}
+
+TEST(BacklogIdentity, CorpusDigestMatchesPin) {
+  EXPECT_EQ(backlog_corpus_digest(), kPinnedBacklogDigest)
+      << std::hex << "digest 0x" << backlog_corpus_digest();
 }
 
 }  // namespace

@@ -94,8 +94,9 @@ Case make_case(int i) {
   Case c;
   const int n = 1 + i % kMaxClients;
   // The 802.11g cases keep every estimate, drift included, above the
-  // table's lowest threshold (6 dB): a dead link has infinite cost, which
-  // the matcher rejects.
+  // table's lowest threshold (6 dB). Clients no rate serves are covered by
+  // RobustUpload.RematchOfClientsNoRateServesCompletes and the
+  // PairCostEngine.UnservableClients* tests.
   const bool shannon = (i / kMaxClients) % 2 == 0;
   c.adapter = shannon ? static_cast<const phy::RateAdapter*>(&kShannon)
                       : static_cast<const phy::RateAdapter*>(&kDot11g);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -238,31 +239,6 @@ TEST(PairCostEngine, UnchangedEstimateIsAFullCacheHit) {
   EXPECT_EQ(engine.stats().pair_cache_hits - before.pair_cache_hits, 28u);
 }
 
-TEST(PairCostEngine, EpsilonKeepsRowsWithinToleranceStale) {
-  Rng rng{9};
-  const auto clients = random_clients(rng, 6);
-  PairCostEngine engine{kShannon, SchedulerOptions{}, Decibels{1.0}};
-  engine.set_clients(clients);
-  const auto cold = engine.schedule();
-
-  // 0.5 dB of drift sits inside the 1 dB fingerprint tolerance: the row
-  // keeps its cached plans (and its fingerprint), so the schedule is the
-  // stale one, not a rebuild on the moved estimate.
-  const Milliwatts nudged = clients[2].rss * Decibels{0.5}.linear();
-  engine.update_client(2, nudged);
-  EXPECT_EQ(engine.stats().row_invalidations, 0u);
-  expect_identical(engine.schedule(), cold, "within epsilon");
-
-  // 2 dB is beyond tolerance: the row recomputes and the schedule matches a
-  // from-scratch build on the moved topology.
-  auto moved = clients;
-  moved[2].rss = clients[2].rss * Decibels{2.0}.linear();
-  engine.update_client(2, moved[2].rss);
-  EXPECT_EQ(engine.stats().row_invalidations, 1u);
-  expect_identical(engine.schedule(), schedule_upload(moved, kShannon, {}),
-                   "beyond epsilon");
-}
-
 TEST(PairCostEngine, SubsetScheduleMatchesScheduleUploadOnTheSubset) {
   Rng rng{11};
   const auto clients = random_clients(rng, 9);
@@ -374,6 +350,109 @@ TEST(PairCostEngine, SetClientsAlwaysRebuildsFromScratch) {
   (void)engine.schedule();
   EXPECT_EQ(engine.stats().pair_evals, 30u);
   EXPECT_EQ(engine.stats().pair_cache_hits, 0u);
+}
+
+/// 802.11g serves nothing below 6 dB: such a client's solo airtime, and
+/// every pair cost it is part of, is infinite.
+channel::LinkBudget unservable_11g_client(double snr_db) {
+  return channel::LinkBudget{Milliwatts{Decibels{snr_db}.linear()}, kN0};
+}
+
+TEST(PairCostEngine, UnservableClientsGetSoloSlotsInScheduleUpload) {
+  Rng rng{41};
+  const auto servable = random_clients(rng, 7);
+  auto clients = servable;
+  clients.insert(clients.begin() + 2, unservable_11g_client(3.0));
+  clients.push_back(unservable_11g_client(1.0));
+  // Position in `clients` of each servable client.
+  const std::vector<int> position{0, 1, 3, 4, 5, 6, 7};
+  for (const auto& combo : kCombos) {
+    for (const auto pairing : {SchedulerOptions::Pairing::kBlossom,
+                               SchedulerOptions::Pairing::kGreedy,
+                               SchedulerOptions::Pairing::kApprox}) {
+      SchedulerOptions options;
+      options.enable_power_control = combo.power_control;
+      options.enable_multirate = combo.multirate;
+      options.pairing = pairing;
+      const std::string what =
+          std::string(combo.name) + " " + to_string(pairing);
+      const Schedule got = schedule_upload(clients, kDot11g, options);
+      const Schedule want = schedule_upload(servable, kDot11g, options);
+      // The two unservable clients come first (infinite airtime, ties by
+      // index); the rest is the servable clients' schedule.
+      ASSERT_EQ(got.slots.size(), want.slots.size() + 2) << what;
+      EXPECT_EQ(got.total_airtime, std::numeric_limits<double>::infinity())
+          << what;
+      for (std::size_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(got.slots[s].first, s == 0 ? 2 : 8) << what;
+        EXPECT_EQ(got.slots[s].second, -1) << what;
+        EXPECT_EQ(got.slots[s].plan.mode, PairMode::kSolo) << what;
+        EXPECT_EQ(got.slots[s].plan.airtime,
+                  std::numeric_limits<double>::infinity())
+            << what;
+      }
+      for (std::size_t s = 0; s < want.slots.size(); ++s) {
+        const ScheduledSlot& g = got.slots[s + 2];
+        const ScheduledSlot& w = want.slots[s];
+        EXPECT_EQ(g.first, position[static_cast<std::size_t>(w.first)])
+            << what;
+        EXPECT_EQ(g.second, w.second < 0
+                                ? -1
+                                : position[static_cast<std::size_t>(w.second)])
+            << what;
+        EXPECT_EQ(g.plan.mode, w.plan.mode) << what;
+        EXPECT_EQ(g.plan.airtime, w.plan.airtime) << what;
+        EXPECT_EQ(g.plan.weaker_power_scale, w.plan.weaker_power_scale)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(PairCostEngine, UnservableClientsGetSoloSlotsInScheduleSubset) {
+  Rng rng{43};
+  auto clients = random_clients(rng, 6);
+  clients[1] = unservable_11g_client(2.0);
+  clients[4] = unservable_11g_client(5.5);
+  SchedulerOptions options;
+  options.enable_power_control = true;
+  options.enable_multirate = true;
+  PairCostEngine engine{kDot11g, options};
+  engine.set_clients(clients);
+  // Two unservable clients alone, one beside one servable client, and a
+  // mix leaving an odd number of servable clients.
+  const std::vector<std::vector<int>> subsets = {
+      {4, 1}, {1, 3}, {0, 4, 2, 1, 5}};
+  for (const auto& subset : subsets) {
+    std::vector<channel::LinkBudget> budgets;
+    for (const int c : subset) {
+      budgets.push_back(clients[static_cast<std::size_t>(c)]);
+    }
+    const std::string what = "subset size " + std::to_string(subset.size());
+    const Schedule got = engine.schedule_subset(subset);
+    expect_identical(got, schedule_upload(budgets, kDot11g, options), what);
+    int unservable_slots = 0;
+    for (const ScheduledSlot& slot : got.slots) {
+      const int c = subset[static_cast<std::size_t>(slot.first)];
+      if (c == 1 || c == 4) {
+        ++unservable_slots;
+        EXPECT_EQ(slot.second, -1) << what;
+        EXPECT_EQ(slot.plan.mode, PairMode::kSolo) << what;
+      } else if (slot.second >= 0) {
+        const int d = subset[static_cast<std::size_t>(slot.second)];
+        EXPECT_TRUE(d != 1 && d != 4) << what;
+      }
+    }
+    EXPECT_EQ(unservable_slots, std::count_if(subset.begin(), subset.end(),
+                                              [](int c) {
+                                                return c == 1 || c == 4;
+                                              }))
+        << what;
+  }
+  // The full set plans too, and the servable clients still pair.
+  const Schedule all = engine.schedule();
+  EXPECT_EQ(all.slots.size(), 4u);
+  EXPECT_EQ(engine.last_matching_tier(), MatchingTier::kBlossom);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "phy/rate_table.hpp"
 
 namespace sic::mac {
 namespace {
@@ -218,6 +219,31 @@ TEST(RobustUpload, StaleRssDemotesChronicFailures) {
     saw_demotion |= result.failures.client_demotions > 0;
   }
   EXPECT_TRUE(saw_demotion);
+}
+
+TEST(RobustUpload, RematchOfClientsNoRateServesCompletes) {
+  // 802.11g serves nothing below 6 dB. Two clients were planned at 8 and
+  // 7 dB but sit 5 dB lower for the whole run: their frames fail, and the
+  // re-estimated channels fall below the table's lowest threshold. With
+  // demotion out of the way both stay pairable, so the re-match hands the
+  // engine two clients no rate serves. It must plan them solo (their sends
+  // then fail at confirmation) instead of aborting the run, and the other
+  // clients still deliver.
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  const auto clients = clients_db({26.0, 20.0, 8.0, 7.0});
+  const auto schedule = core::schedule_upload(clients, dot11g, {});
+  UploadSimConfig config;
+  config.faults.initial_drift = {Decibels{0.0}, Decibels{0.0},
+                                 Decibels{-5.0}, Decibels{-5.0}};
+  config.recovery.demote_after_failures = 1000;
+  const auto result = run_scheduled_upload(clients, dot11g, schedule, config);
+  EXPECT_GE(result.failures.rematch_rounds, 1u);
+  ASSERT_EQ(result.unrecovered_per_client.size(), 4u);
+  EXPECT_EQ(result.unrecovered_per_client[0], 0u);
+  EXPECT_EQ(result.unrecovered_per_client[1], 0u);
+  EXPECT_EQ(result.unrecovered_per_client[2], 1u);
+  EXPECT_EQ(result.unrecovered_per_client[3], 1u);
+  EXPECT_EQ(result.failures.unrecovered, 2u);
 }
 
 }  // namespace

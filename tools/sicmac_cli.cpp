@@ -38,6 +38,7 @@
 /// error; 4 trace format error; 5 deployment invariant violated;
 /// 6 matching infeasible (odd vertex count / no perfect matching).
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -169,6 +170,42 @@ int cmd_crosslink(const ArgParser& args) {
   return 0;
 }
 
+/// The closing line of `schedule` and `backlog`. A client no rate serves
+/// has infinite airtime in the schedule and in the serial baseline alike,
+/// so then both totals are taken over the other clients, which the
+/// schedule pairs exactly as it would without them.
+template <class Slots, class SoloAirtime>
+void print_totals(const Slots& slots, double total,
+                  std::size_t num_clients, double serial,
+                  SoloAirtime&& solo_airtime) {
+  if (std::isfinite(total)) {
+    std::printf("total %.1f us vs serial %.1f us  ->  gain %.3fx\n",
+                1e6 * total, 1e6 * serial, serial / total);
+    return;
+  }
+  double served = 0.0;
+  for (const auto& slot : slots) {
+    if (std::isfinite(slot.plan.airtime)) served += slot.plan.airtime;
+  }
+  double served_serial = 0.0;
+  int unservable = 0;
+  for (std::size_t c = 0; c < num_clients; ++c) {
+    const double t = solo_airtime(c);
+    if (std::isfinite(t)) {
+      served_serial += t;
+    } else {
+      ++unservable;
+    }
+  }
+  std::printf("%d client(s) no rate serves (solo, inf us)", unservable);
+  if (served > 0.0) {
+    std::printf("; the other clients: total %.1f us vs serial %.1f us  ->  "
+                "gain %.3fx",
+                1e6 * served, 1e6 * served_serial, served_serial / served);
+  }
+  std::printf("\n");
+}
+
 int cmd_schedule(const ArgParser& args) {
   const auto adapter = make_adapter(args.get_string("table", "shannon"));
   const auto snrs = args.get_double_list("clients");
@@ -197,9 +234,10 @@ int cmd_schedule(const ArgParser& args) {
                   to_string(slot.plan.mode), 1e6 * slot.plan.airtime);
     }
   }
-  std::printf("total %.1f us vs serial %.1f us  ->  gain %.3fx\n",
-              1e6 * schedule.total_airtime, 1e6 * serial,
-              serial / schedule.total_airtime);
+  print_totals(schedule.slots, schedule.total_airtime, clients.size(), serial,
+               [&](std::size_t c) {
+                 return core::solo_airtime(clients[c], *adapter, kBits);
+               });
   return 0;
 }
 
@@ -236,9 +274,10 @@ int cmd_backlog(const ArgParser& args) {
                   1e6 * slot.plan.airtime, slot.plan.rounds);
     }
   }
-  std::printf("total %.1f us vs serial %.1f us  ->  gain %.3fx\n",
-              1e6 * schedule.total_airtime, 1e6 * serial,
-              serial / schedule.total_airtime);
+  print_totals(schedule.slots, schedule.total_airtime, clients.size(), serial,
+               [&](std::size_t c) {
+                 return core::solo_drain_airtime(clients[c], *adapter, kBits);
+               });
   return 0;
 }
 
