@@ -3,12 +3,13 @@
 #
 #   scripts/lint.sh [BUILD_DIR]
 #
-# 1. Builds and runs tools/sic_lint over every tracked .cpp/.hpp under
-#    src/ tools/ bench/ tests/ examples/ (minus the seeded-violation
-#    fixtures) with the checked-in R2 baseline. Any finding — including a
-#    stale baseline entry — fails the run. The deterministic JSON findings
-#    report is always written to $BUILD_DIR/lint-findings.json (CI uploads
-#    it as an artifact, pass or fail).
+# 1. Builds and runs tools/sic_lint over every tracked .cpp/.hpp in the
+#    repository, perfbench/ included (minus the seeded-violation fixtures
+#    under tests/lint_fixtures), with the checked-in R2 baseline. Any
+#    finding — including a stale baseline entry — fails the run. The
+#    deterministic JSON findings report is always written to
+#    $BUILD_DIR/lint-findings.json (CI uploads it as an artifact, pass or
+#    fail).
 # 2. Perturb-style self-check: a temp tree seeded with an R5 layer
 #    back-edge (src/util including mac/) MUST fail the linter — proving the
 #    gate can fail at all.

@@ -6,7 +6,8 @@
 #
 # asan (default): ASan + UBSan over the full ctest suite.
 # tsan: ThreadSanitizer over the concurrency surface — the thread pool,
-#       the parallel sweep engine, and the tests that plan and serve on
+#       the parallel sweep engine, the per-thread obs context and its
+#       chunked fan-out (ObsContext), and the tests that plan and serve on
 #       per-thread scratch (the pair-cost engine's build scratch and
 #       matching reduction, the executor workspace and its event queue):
 #       PairCostEngine, DeploymentEngine, Deploy, ExecutorIdentity and
@@ -26,7 +27,7 @@ if [[ "$mode" == "tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --preset tsan -j "$(nproc)" \
-      -R 'ThreadPool|ParallelSweep|PairCostEngine|DeploymentEngine|Deploy|ExecutorIdentity|EventQueue' \
+      -R 'ThreadPool|ParallelSweep|ObsContext|PairCostEngine|DeploymentEngine|Deploy|ExecutorIdentity|EventQueue' \
       "$@"
 else
   cmake --preset sanitize

@@ -2,23 +2,6 @@
 
 namespace sic::analysis {
 
-SweepObsMerger::SweepObsMerger() : caller_(obs::metrics()) {}
-
-SweepObsMerger::~SweepObsMerger() {
-  // Runs on the sweep's calling thread after parallel_for returned, so the
-  // fold into the caller's registry needs no lock.
-  if (caller_ != nullptr) caller_->merge_from(merged_);
-}
-
-SweepObsMerger::ChunkScope::ChunkScope(SweepObsMerger& merger)
-    : merger_(merger), previous_(obs::set_metrics(&registry_)) {}
-
-SweepObsMerger::ChunkScope::~ChunkScope() {
-  obs::set_metrics(previous_);
-  std::lock_guard<std::mutex> lock{merger_.mu_};
-  merger_.merged_.merge_from(registry_);
-}
-
 ParallelRunner::ParallelRunner(const ParallelOptions& options)
     : pool_(ThreadPool::resolve(options.threads)),
       chunk_(options.chunk_trials) {

@@ -14,23 +14,21 @@
 ///     or how many trials ran before it.
 ///  2. *Index-addressed results.* Trial t writes results[t]; the output
 ///     vector is identical for any thread count or chunk schedule.
-///  3. *Deterministic obs counters.* Worker threads see a per-chunk
-///     scratch MetricsRegistry (the attach point is thread-local), merged
-///     into the caller's registry at chunk boundaries. Counter values are
-///     additive over trials, hence schedule-independent; histogram bucket
-///     counts likewise (their floating-point `sum` and wall-time values
-///     are not, as with any timing metric). Trace-sink spans are not
-///     forwarded from workers.
+///  3. *Deterministic obs.* Trials run through obs::observed_parallel_for
+///     (obs/context.hpp): every chunk of `chunk_trials` trials publishes
+///     into a scratch registry of its own, on whichever thread runs it,
+///     and the scratch registries fold into the caller's registry in chunk
+///     order. Counters, histogram buckets and sums of values that do not
+///     depend on the clock are therefore identical at any thread count.
+///     Chunks never trace.
 ///
-/// When the caller has no registry attached the scratch registries are
-/// skipped entirely, preserving the obs layer's zero-cost-when-detached
-/// contract on the sweep hot path.
+/// A detached caller pays nothing: the sweep is then exactly
+/// ThreadPool::parallel_for.
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/context.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -46,41 +44,6 @@ struct ParallelOptions {
   int chunk_trials = 64;
 };
 
-/// Collects per-chunk scratch registries and folds them into the registry
-/// that was attached on the sweep's calling thread. Inactive (and free)
-/// when the caller runs detached.
-class SweepObsMerger {
- public:
-  SweepObsMerger();                      ///< captures obs::metrics()
-  ~SweepObsMerger();                     ///< folds into the caller registry
-
-  SweepObsMerger(const SweepObsMerger&) = delete;
-  SweepObsMerger& operator=(const SweepObsMerger&) = delete;
-
-  [[nodiscard]] bool active() const { return caller_ != nullptr; }
-
-  /// Attaches a chunk-local registry on the current thread (worker or
-  /// caller) for the duration of one chunk, then merges it into the shared
-  /// accumulator. Constructed only when active().
-  class ChunkScope {
-   public:
-    explicit ChunkScope(SweepObsMerger& merger);
-    ~ChunkScope();
-    ChunkScope(const ChunkScope&) = delete;
-    ChunkScope& operator=(const ChunkScope&) = delete;
-
-   private:
-    SweepObsMerger& merger_;
-    obs::MetricsRegistry registry_;
-    obs::MetricsRegistry* previous_;
-  };
-
- private:
-  obs::MetricsRegistry* caller_;
-  obs::MetricsRegistry merged_;
-  std::mutex mu_;
-};
-
 /// Reusable thread-pool sweep engine. Construct once (threads spawn here),
 /// then run any number of sweeps through map_trials()/map_indices().
 class ParallelRunner {
@@ -91,8 +54,8 @@ class ParallelRunner {
 
   /// results[t] = body(rng_t, t) with rng_t = Rng::at(seed, t). T must be
   /// default-constructible; body must be callable concurrently (pure
-  /// functions of rng + inputs — the obs attach points are thread-local,
-  /// so instrumented callees are safe).
+  /// functions of rng + inputs — the obs context is per thread, so
+  /// instrumented callees are safe).
   template <typename T, typename Body>
   std::vector<T> map_trials(std::int64_t trials, std::uint64_t seed,
                             const Body& body) {
@@ -109,24 +72,12 @@ class ParallelRunner {
   std::vector<T> map_indices(std::int64_t n, const Body& body) {
     SIC_CHECK(n >= 0);
     std::vector<T> results(static_cast<std::size_t>(n));
-    SweepObsMerger merger;
-    pool_.parallel_for(n, chunk_, [&](std::int64_t begin, std::int64_t end) {
-      if (!merger.active()) {
-        // Detached: no scratch registry, no merge — zero obs cost.
-        for (std::int64_t i = begin; i < end; ++i) {
-          results[static_cast<std::size_t>(i)] = body(i);
-        }
-        return;
-      }
-      // Chunk boundary = obs batch boundary: instrumented callees publish
-      // into a chunk-local registry (threads == 1 included, so counters
-      // are identical across thread counts), folded into the shared
-      // accumulator once per chunk.
-      SweepObsMerger::ChunkScope scope{merger};
-      for (std::int64_t i = begin; i < end; ++i) {
-        results[static_cast<std::size_t>(i)] = body(i);
-      }
-    });
+    obs::observed_parallel_for(
+        pool_, n, chunk_, [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            results[static_cast<std::size_t>(i)] = body(i);
+          }
+        });
     return results;
   }
 

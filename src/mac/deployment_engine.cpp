@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -161,16 +162,16 @@ struct DeploymentEngine::ApState {
   int ladder = 0;  ///< 0 = full options .. 3 = serial-only
   int healthy_streak = 0;
   int allfail_streak = 0;
-  bool dirty = true;  ///< re-estimate + re-match before next service
+  /// Re-estimate and re-plan from scratch before the next service. Every
+  /// change a plan depends on (membership, ladder step, restart, outage,
+  /// watchdog) sets it, so a clean AP's schedule indexes `members`.
+  bool dirty = true;
   bool rematched_this_epoch = false;
   std::vector<int> members;  ///< ascending client ids
-  /// Membership/ladder the persistent pair-cost engine was built over —
-  /// a mismatch forces a rebuild instead of per-row updates.
-  std::vector<int> pce_members;
-  int pce_ladder = -1;
+  /// Reset and re-planned on every dirty service below ladder level 3,
+  /// keeping its storage.
   std::unique_ptr<core::PairCostEngine> pce;
   core::Schedule schedule;
-  std::vector<int> sched_members;  ///< members the schedule indexes
   /// Matching tier the last rematch resolved to (-1 = never matched /
   /// serial ladder); flight-recorded on change from the sequential
   /// aggregate phase, so a kAuto fleet's per-AP tier crossings land in the
@@ -357,11 +358,10 @@ void DeploymentEngine::apply_chaos(const EpochChaos& chaos,
     }
     ap.alive = false;
     ap.down_until = epoch_ + o.epochs;
+    // A dead AP holds no plan state: its members move to neighbours whose
+    // engines grow meanwhile, so keeping this one would raise peak memory.
     ap.pce.reset();
-    ap.pce_ladder = -1;
-    ap.pce_members.clear();
     ap.schedule = core::Schedule{};
-    ap.sched_members.clear();
     ap.dirty = true;
     for (const int m : ap.members) {
       clients_[static_cast<std::size_t>(m)].ap = -1;
@@ -477,8 +477,6 @@ thread_local ServeScratch tl_serve_scratch;
 }  // namespace
 
 void DeploymentEngine::serve_ap(ApState& ap) {
-  const bool rebuild = ap.pce == nullptr || ap.pce_ladder != ap.ladder ||
-                       ap.pce_members != ap.members;
   if (ap.dirty) {
     // Re-estimation: the AP measures every member's channel fresh.
     for (const int m : ap.members) {
@@ -496,15 +494,13 @@ void DeploymentEngine::serve_ap(ApState& ap) {
     budgets.push_back(
         channel::LinkBudget{nominal.rss * est.linear(), noise_mw_});
   }
-  if (ap.dirty || rebuild) {
+  // The one re-plan path, from scratch on the members' estimates. The
+  // serial ladder level plans without the pair-cost engine and re-plans
+  // every epoch it serves.
+  if (ap.dirty || ap.ladder >= 3) {
     if (ap.ladder >= 3) {
-      ap.pce.reset();
-      ap.pce_ladder = ap.ladder;
-      ap.pce_members = ap.members;
       ap.schedule = serial_schedule(budgets, *adapter_, ladder_options(2));
-    } else if (rebuild) {
-      // A new membership or ladder step: a from-scratch engine state,
-      // reusing the storage of the AP's previous engine when it has one.
+    } else {
       if (ap.pce == nullptr) {
         ap.pce = std::make_unique<core::PairCostEngine>(
             *adapter_, ladder_options(ap.ladder));
@@ -512,18 +508,8 @@ void DeploymentEngine::serve_ap(ApState& ap) {
         ap.pce->reset(*adapter_, ladder_options(ap.ladder));
       }
       ap.pce->set_clients(budgets);
-      ap.pce_ladder = ap.ladder;
-      ap.pce_members = ap.members;
-      ap.schedule = ap.pce->schedule();
-    } else {
-      // Same members, same options: re-estimation only — dirty rows
-      // recompute, clean rows serve from cache.
-      for (std::size_t i = 0; i < budgets.size(); ++i) {
-        ap.pce->update_client(static_cast<int>(i), budgets[i].rss);
-      }
       ap.schedule = ap.pce->schedule();
     }
-    ap.sched_members = ap.members;
     ap.rematched_this_epoch = true;
     ap.dirty = false;
   }
@@ -684,40 +670,22 @@ EpochStats DeploymentEngine::run_epoch() {
     stats.quarantined_clients += (c.active && c.quarantined) ? 1 : 0;
   }
 
-  // 6. Serve every live AP with members — in parallel over APs, each
-  //    with a scratch metrics registry merged back in AP order so counter
-  //    maps are identical at any thread count.
+  // 6. Serve every live AP with members, in parallel over APs. One AP
+  //    per chunk, so its metrics fold back in AP order and nothing a
+  //    chunk does reaches the trace, time-series or flight sinks: all of
+  //    it is identical at any thread count.
   std::vector<int> serving;
   for (const ApState& ap : aps_) {
     if (ap.alive && !ap.members.empty()) serving.push_back(ap.id);
   }
-  obs::MetricsRegistry* caller = obs::metrics();
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> scratch;
-  if (caller != nullptr) scratch.resize(aps_.size());
-  pool_->parallel_for(
-      static_cast<std::int64_t>(serving.size()), 1,
+  obs::observed_parallel_for(
+      *pool_, static_cast<std::int64_t>(serving.size()), 1,
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t k = begin; k < end; ++k) {
-          ApState& ap =
-              aps_[static_cast<std::size_t>(serving[static_cast<std::size_t>(k)])];
-          obs::MetricsRegistry* prev = nullptr;
-          if (caller != nullptr) {
-            scratch[static_cast<std::size_t>(ap.id)] =
-                std::make_unique<obs::MetricsRegistry>();
-            prev = obs::set_metrics(
-                scratch[static_cast<std::size_t>(ap.id)].get());
-          }
-          serve_ap(ap);
-          if (caller != nullptr) (void)obs::set_metrics(prev);
+          serve_ap(aps_[static_cast<std::size_t>(
+              serving[static_cast<std::size_t>(k)])]);
         }
       });
-  if (caller != nullptr) {
-    for (const int id : serving) {
-      if (scratch[static_cast<std::size_t>(id)] != nullptr) {
-        caller->merge_from(*scratch[static_cast<std::size_t>(id)]);
-      }
-    }
-  }
 
   // 7. Aggregate, then audit the epoch exactly as executed.
   std::vector<int> served_by;
@@ -732,7 +700,7 @@ EpochStats DeploymentEngine::run_epoch() {
       ap.rematched_this_epoch = false;
       // Tier telemetry: record which matcher the rematch resolved to, once
       // per change (sequential phase — thread-invariant event stream).
-      if (ap.pce != nullptr && ap.pce->size() >= 2) {
+      if (ap.ladder < 3 && ap.pce->size() >= 2) {
         const int tier = static_cast<int>(ap.pce->last_matching_tier());
         if (tier != ap.last_tier) {
           ap.last_tier = tier;
@@ -741,8 +709,8 @@ EpochStats DeploymentEngine::run_epoch() {
         }
       }
     }
-    for (std::size_t i = 0; i < ap.sched_members.size(); ++i) {
-      const int m = ap.sched_members[i];
+    for (std::size_t i = 0; i < ap.members.size(); ++i) {
+      const int m = ap.members[i];
       ClientState& c = clients_[static_cast<std::size_t>(m)];
       const std::uint64_t lost = i < ap.last.unrecovered_per_client.size()
                                      ? ap.last.unrecovered_per_client[i]
@@ -814,9 +782,6 @@ EpochStats DeploymentEngine::run_epoch() {
         // estimates and a full from-scratch re-match.
         ++stats.watchdog_fires;
         ap.allfail_streak = 0;
-        ap.pce.reset();
-        ap.pce_ladder = -1;
-        ap.pce_members.clear();
         ap.dirty = true;
         if (obs::FlightRecorder* fr = obs::flight()) {
           fr->record(obs::FlightEvent{static_cast<std::uint64_t>(epoch_), id,

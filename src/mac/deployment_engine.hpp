@@ -7,8 +7,9 @@
 /// (nearest-AP by received power, load-aware handoff with dB hysteresis so
 /// clients don't flap), advances one *epoch* at a time, and within each
 /// epoch plans every serving AP's schedule through that AP's persistent
-/// core::PairCostEngine — re-matching only APs something actually dirtied
-/// (membership change, outage/restart, ladder step, watchdog) — then
+/// core::PairCostEngine — re-estimating and re-planning from scratch only
+/// APs something actually dirtied (membership change, outage/restart,
+/// ladder step, watchdog), and otherwise keeping the AP's schedule — then
 /// executes the schedule on the discrete-event simulator via
 /// run_scheduled_upload.
 ///
@@ -38,9 +39,12 @@
 /// (epoch_seed). The two parallel phases are both order-invariant: the
 /// association score phase writes index-addressed proposals against a
 /// start-of-epoch snapshot (mac/association.hpp) and the serve phase only
-/// ever runs whole APs, with per-AP scratch metric registries merged in
-/// AP order — so results and obs counter maps are bit-identical for any
-/// thread count. With one AP
+/// ever runs whole APs, one AP per obs::observed_parallel_for chunk: each
+/// AP's metrics fold back in AP order and a served AP never traces or
+/// records flight events or time-series samples — so results, obs counter
+/// maps, traces and post-mortems are bit-identical for any thread count.
+/// Everything the engine traces or records comes from its sequential
+/// phases. With one AP
 /// and no chaos, an epoch is bit-identical to planning with
 /// core::schedule_upload and executing with run_scheduled_upload directly
 /// (pinned in tests/deployment_engine_test.cpp).

@@ -10,12 +10,6 @@
 
 namespace sic::obs {
 
-namespace {
-
-thread_local FlightRecorder* g_flight = nullptr;
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(std::size_t capacity) {
   SIC_CHECK(capacity >= 1);
   ring_.resize(capacity);
@@ -109,14 +103,6 @@ std::string FlightRecorder::postmortem_json(
   os << (series != nullptr ? series->json_object() : std::string{"{}"});
   os << "}}";
   return os.str();
-}
-
-FlightRecorder* flight() { return g_flight; }
-
-FlightRecorder* set_flight(FlightRecorder* recorder) {
-  FlightRecorder* previous = g_flight;
-  g_flight = recorder;
-  return previous;
 }
 
 }  // namespace sic::obs

@@ -102,14 +102,9 @@ class FlightRecorder {
   std::map<std::string, std::string, std::less<>> config_;
 };
 
-/// Thread-local attach point, same contract as obs::metrics(): null (the
-/// default on every thread) means flight recording is off and instrumented
-/// code must skip it.
+/// The calling thread's recorder (obs/context.hpp); null means flight
+/// recording is off and instrumented code must skip it.
 [[nodiscard]] FlightRecorder* flight();
-/// Installs \p recorder as the calling thread's target and returns the
-/// previous one (so scoped attachment can restore it). Pass nullptr to
-/// detach.
-FlightRecorder* set_flight(FlightRecorder* recorder);
 
 }  // namespace sic::obs
 

@@ -13,8 +13,6 @@ namespace sic::obs {
 
 namespace {
 
-thread_local MetricsRegistry* g_metrics = nullptr;
-
 using detail::format_double;
 
 void append_json_key(std::ostringstream& os, const std::string& name) {
@@ -204,14 +202,6 @@ MetricsRegistry::counter_values() const {
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
   return out;
-}
-
-MetricsRegistry* metrics() { return g_metrics; }
-
-MetricsRegistry* set_metrics(MetricsRegistry* registry) {
-  MetricsRegistry* previous = g_metrics;
-  g_metrics = registry;
-  return previous;
 }
 
 }  // namespace sic::obs

@@ -19,12 +19,11 @@
 ///    printed with fixed formats, so two identical runs emit byte-identical
 ///    JSON (tested in tests/obs_metrics_test.cpp).
 ///
-/// Threading model: a registry itself is single-threaded, and the attach
-/// point below is *thread-local*, so a worker thread never observes (or
-/// races on) the registry a caller attached. The parallel sweep engine
-/// (analysis/parallel.hpp) gives each chunk its own scratch registry on the
-/// worker thread and folds them back with merge_from() — counter merges are
-/// additive and therefore deterministic regardless of chunk schedule.
+/// Threading model: a registry itself is single-threaded, and it is
+/// attached through the calling thread's obs::Context (obs/context.hpp),
+/// so a worker thread never observes (or races on) the registry a caller
+/// attached. obs::observed_parallel_for gives each chunk its own scratch
+/// registry and folds them back with merge_from() in chunk order.
 
 #include <cstdint>
 #include <map>
@@ -157,15 +156,14 @@ class MetricsRegistry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
-/// Thread-local attach point. Null (the default on every thread) means
+/// The calling thread's registry (obs/context.hpp). Null means
 /// observability is off; instrumented code must treat null as "skip
-/// publishing". Being thread-local, a registry attached on the main thread
-/// is invisible to pool workers — they run fully detached unless the
-/// parallel sweep engine attaches a per-chunk scratch registry for them.
+/// publishing".
 [[nodiscard]] MetricsRegistry* metrics();
-/// Installs \p registry as the calling thread's target and returns the
-/// previous one (so scoped attachment can restore it). Pass nullptr to
-/// detach.
+/// Replaces only the metrics slot of the calling thread's context and
+/// returns the previous registry. Attach is the way to install a context;
+/// this setter remains for callers outside src/ that attach only a
+/// registry.
 MetricsRegistry* set_metrics(MetricsRegistry* registry);
 
 }  // namespace sic::obs

@@ -8,6 +8,7 @@
 /// contract all of them share.
 
 #include "obs/build_info.hpp"       // IWYU pragma: export
+#include "obs/context.hpp"          // IWYU pragma: export
 #include "obs/flight_recorder.hpp"  // IWYU pragma: export
 #include "obs/logger.hpp"           // IWYU pragma: export
 #include "obs/metrics.hpp"          // IWYU pragma: export

@@ -9,12 +9,6 @@
 
 namespace sic::obs {
 
-namespace {
-
-thread_local TimeSeriesRegistry* g_timeseries = nullptr;
-
-}  // namespace
-
 TimeSeries::TimeSeries(std::size_t capacity) {
   SIC_CHECK(capacity >= 1);
   ring_.resize(capacity);
@@ -114,14 +108,6 @@ std::string TimeSeriesRegistry::json_object() const {
   }
   os << '}';
   return os.str();
-}
-
-TimeSeriesRegistry* timeseries() { return g_timeseries; }
-
-TimeSeriesRegistry* set_timeseries(TimeSeriesRegistry* registry) {
-  TimeSeriesRegistry* previous = g_timeseries;
-  g_timeseries = registry;
-  return previous;
 }
 
 }  // namespace sic::obs

@@ -7,8 +7,8 @@
 /// the deployment engine's per-epoch telemetry.
 ///
 /// Contract (same as MetricsRegistry, see DESIGN.md "Observability"):
-///  - *Zero-cost when detached.* The attach point below is a thread-local
-///    pointer, null by default; instrumented code records only when
+///  - *Zero-cost when detached.* The registry is a slot of the thread's
+///    obs::Context, null by default; instrumented code records only when
 ///    `obs::timeseries()` is non-null. Recording is O(1) into a
 ///    pre-allocated ring — no allocation after the first `series()` call
 ///    for a name.
@@ -102,14 +102,9 @@ class TimeSeriesRegistry {
   std::map<std::string, TimeSeries, std::less<>> series_;
 };
 
-/// Thread-local attach point, same contract as obs::metrics(): null (the
-/// default on every thread) means time-series recording is off and
-/// instrumented code must skip it.
+/// The calling thread's registry (obs/context.hpp); null means
+/// time-series recording is off and instrumented code must skip it.
 [[nodiscard]] TimeSeriesRegistry* timeseries();
-/// Installs \p registry as the calling thread's target and returns the
-/// previous one (so scoped attachment can restore it). Pass nullptr to
-/// detach.
-TimeSeriesRegistry* set_timeseries(TimeSeriesRegistry* registry);
 
 }  // namespace sic::obs
 

@@ -8,8 +8,6 @@ namespace sic::obs {
 
 namespace {
 
-thread_local TraceSink* g_trace = nullptr;
-
 void append_number(std::string& out, double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", value);
@@ -93,13 +91,5 @@ void TraceSink::name_track(int tid, std::string_view name) {
 }
 
 void TraceSink::flush() { os_->flush(); }
-
-TraceSink* trace() { return g_trace; }
-
-TraceSink* set_trace(TraceSink* sink) {
-  TraceSink* previous = g_trace;
-  g_trace = sink;
-  return previous;
-}
 
 }  // namespace sic::obs

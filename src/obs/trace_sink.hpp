@@ -72,12 +72,9 @@ class TraceSink {
   std::uint64_t events_ = 0;
 };
 
-/// Thread-local attach point, same contract as obs::metrics(): a sink
-/// attached on one thread is invisible to others, so pool workers never
-/// race on it (their spans are simply dropped — see DESIGN.md "Parallel
-/// sweeps").
+/// The calling thread's sink (obs/context.hpp); null means trace nothing.
+/// Chunks of a parallel phase never trace (obs::observed_parallel_for).
 [[nodiscard]] TraceSink* trace();
-TraceSink* set_trace(TraceSink* sink);
 
 }  // namespace sic::obs
 

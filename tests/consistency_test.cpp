@@ -141,12 +141,10 @@ TEST(Consistency, ObserversNeverPerturbTheSimulation) {
   obs::MetricsRegistry registry;
   std::ostringstream trace_os;
   obs::TraceSink sink{trace_os};
-  ASSERT_EQ(obs::set_metrics(&registry), nullptr);
-  ASSERT_EQ(obs::set_trace(&sink), nullptr);
-  const auto observed =
-      mac::run_scheduled_upload(clients, kShannon, schedule, config);
-  obs::set_metrics(nullptr);
-  obs::set_trace(nullptr);
+  const auto observed = [&] {
+    const obs::Attach attach{{.metrics = &registry, .trace = &sink}};
+    return mac::run_scheduled_upload(clients, kShannon, schedule, config);
+  }();
 
   // Observers saw the run...
   EXPECT_GT(registry.counter("mac.upload.runs").value(), 0u);

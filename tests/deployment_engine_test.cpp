@@ -8,15 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace sic::mac {
 namespace {
@@ -117,7 +120,7 @@ TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
   // full obs counter map must match bit for bit.
   const auto run = [](int threads) {
     obs::MetricsRegistry registry;
-    obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+    const obs::Attach attach{{.metrics = &registry}};
     DeploymentEngineConfig config;
     config.scheduler.enable_power_control = true;
     config.epoch_drift_sigma = Decibels{2.0};
@@ -134,7 +137,6 @@ TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
     engine.set_auditor(&auditor);
     const DeploymentResult result = engine.run_epochs(12);
     EXPECT_TRUE(auditor.ok());
-    (void)obs::set_metrics(prev);
     return std::pair{result, registry.counter_values()};
   };
 
@@ -161,8 +163,7 @@ TEST(DeploymentEngine, AutoTierCrossingDeterministicAcrossThreadCounts) {
   const auto run = [](int threads) {
     obs::MetricsRegistry registry;
     obs::FlightRecorder recorder;
-    obs::MetricsRegistry* prev_m = obs::set_metrics(&registry);
-    obs::FlightRecorder* prev_f = obs::set_flight(&recorder);
+    const obs::Attach attach{{.metrics = &registry, .flight = &recorder}};
     DeploymentEngineConfig config;
     config.scheduler.pairing = core::SchedulerOptions::Pairing::kAuto;
     config.scheduler.auto_tier_threshold = 6;
@@ -178,8 +179,6 @@ TEST(DeploymentEngine, AutoTierCrossingDeterministicAcrossThreadCounts) {
       (void)engine.add_client({60.0 + 3.0 * c, 5.0});
     }
     const DeploymentResult result = engine.run_epochs(10);
-    (void)obs::set_metrics(prev_m);
-    (void)obs::set_flight(prev_f);
     std::vector<std::string> tiers;
     for (std::size_t i = 0; i < recorder.size(); ++i) {
       const obs::FlightEvent& e = recorder.event(i);
@@ -452,8 +451,7 @@ TEST(DeploymentEngine, PostmortemByteIdenticalAcrossThreadCounts) {
   const auto run = [](int threads) {
     obs::FlightRecorder recorder;
     obs::TimeSeriesRegistry series;
-    obs::FlightRecorder* prev_fr = obs::set_flight(&recorder);
-    obs::TimeSeriesRegistry* prev_ts = obs::set_timeseries(&series);
+    const obs::Attach attach{{.timeseries = &series, .flight = &recorder}};
     DeploymentEngineConfig config;
     config.scheduler.enable_power_control = true;
     config.epoch_drift_sigma = Decibels{2.0};
@@ -469,8 +467,6 @@ TEST(DeploymentEngine, PostmortemByteIdenticalAcrossThreadCounts) {
       (void)engine.add_client({7.0 * (c % 8) + 45.0 * (c / 8), 5.0});
     }
     (void)engine.run_epochs(12);
-    (void)obs::set_flight(prev_fr);
-    (void)obs::set_timeseries(prev_ts);
     return recorder.postmortem_json(&series, /*window_epochs=*/12);
   };
 
@@ -482,13 +478,45 @@ TEST(DeploymentEngine, PostmortemByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(pm1, run(7));
 }
 
+TEST(DeploymentEngine, TraceByteIdenticalAcrossThreadCounts) {
+  // With a trace sink attached the engine traces only from its sequential
+  // phases; a served AP never traces, on whichever thread serves it. So
+  // the trace is byte-identical at threads 1 / 4 / 7 and on a repeated run.
+  const auto run = [](int threads) {
+    std::ostringstream os;
+    {
+      obs::TraceSink sink{os};
+      const obs::Attach attach{{.trace = &sink}};
+      DeploymentEngineConfig config;
+      config.epoch_drift_sigma = Decibels{2.0};
+      config.threads = threads;
+      config.seed = 11;
+      std::vector<topology::Point> sites{
+          {0.0, 0.0}, {60.0, 0.0}, {120.0, 0.0}, {180.0, 0.0}};
+      DeploymentEngine engine{sites, kShannon, config,
+                              FaultSchedule::preset("default", 24)};
+      for (int c = 0; c < 24; ++c) {
+        (void)engine.add_client({7.0 * (c % 8) + 45.0 * (c / 8), 5.0});
+      }
+      (void)engine.run_epochs(8);
+    }
+    return os.str();
+  };
+
+  const std::string t1 = run(1);
+  EXPECT_NE(t1.find("\"name\":\"epoch\""), std::string::npos);
+  EXPECT_EQ(t1, run(4));
+  EXPECT_EQ(t1, run(7));
+  EXPECT_EQ(t1, run(4));
+}
+
 TEST(DeploymentEngine, WatchdogTripLatchesFlightRecorderExactlyOnce) {
   // Same scripted 80 dB burst as WatchdogFreesStuckApAfterDeepBurst, with
   // the flight recorder attached: the watchdog's first fire must trip the
   // recorder, and later fires (the burst outlives the first watchdog
   // window) must not re-trip or overwrite the reason.
   obs::FlightRecorder recorder;
-  obs::FlightRecorder* prev = obs::set_flight(&recorder);
+  const obs::Attach attach{{.flight = &recorder}};
   DeploymentEngineConfig config;
   config.watchdog_epochs = 2;
   config.enable_quarantine = false;
@@ -502,7 +530,6 @@ TEST(DeploymentEngine, WatchdogTripLatchesFlightRecorderExactlyOnce) {
   (void)engine.add_client({12.0, 0.0});
 
   const DeploymentResult result = engine.run_epochs(8);
-  (void)obs::set_flight(prev);
   ASSERT_GE(result.watchdog_fires, 1u);
   EXPECT_TRUE(recorder.tripped());
   EXPECT_EQ(recorder.trip_reason(), "watchdog fire: ap 0");
@@ -555,7 +582,7 @@ TEST(DeploymentEngine, HealthDropsUnderBurstAndTimeSeriesRecordsIt) {
   // the health channel: buried epochs must score well below calm ones,
   // and the attached time-series must carry the same per-epoch values.
   obs::TimeSeriesRegistry series;
-  obs::TimeSeriesRegistry* prev = obs::set_timeseries(&series);
+  const obs::Attach attach{{.timeseries = &series}};
   DeploymentEngineConfig config;
   config.watchdog_epochs = 2;
   config.enable_quarantine = false;
@@ -569,7 +596,6 @@ TEST(DeploymentEngine, HealthDropsUnderBurstAndTimeSeriesRecordsIt) {
   (void)engine.add_client({12.0, 0.0});
 
   const DeploymentResult result = engine.run_epochs(8);
-  (void)obs::set_timeseries(prev);
 
   double min_health = 1.0;
   for (const EpochStats& e : result.epochs) {

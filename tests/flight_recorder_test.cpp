@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/context.hpp"
 #include "obs/timeseries.hpp"
 
 namespace sic::obs {
@@ -120,9 +121,10 @@ TEST(FlightRecorder, PostmortemIsByteDeterministic) {
 TEST(FlightGlobalAttachPoint, SetReturnsPrevious) {
   ASSERT_EQ(flight(), nullptr);
   FlightRecorder fr;
-  EXPECT_EQ(set_flight(&fr), nullptr);
-  EXPECT_EQ(flight(), &fr);
-  EXPECT_EQ(set_flight(nullptr), &fr);
+  {
+    const Attach a{Context{.flight = &fr}};
+    EXPECT_EQ(flight(), &fr);
+  }
   EXPECT_EQ(flight(), nullptr);
 }
 

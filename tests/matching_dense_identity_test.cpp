@@ -21,6 +21,7 @@
 #include "core/pair_cost_engine.hpp"
 #include "core/scheduler.hpp"
 #include "matching/blossom.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "phy/rate_adapter.hpp"
 #include "phy/rate_table.hpp"
@@ -46,9 +47,10 @@ constexpr const char* kWorkCounters[] = {
 template <typename Solve>
 Outcome observe(Solve&& solve) {
   obs::MetricsRegistry reg;
-  obs::MetricsRegistry* previous = obs::set_metrics(&reg);
-  Outcome out{solve(), {}};
-  obs::set_metrics(previous);
+  Outcome out = [&] {
+    const obs::Attach attach{{.metrics = &reg}};
+    return Outcome{solve(), {}};
+  }();
   for (const char* name : kWorkCounters) {
     out.work.push_back(reg.counter(name).value());
   }

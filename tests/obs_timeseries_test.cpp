@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/context.hpp"
+
 namespace sic::obs {
 namespace {
 
@@ -107,9 +109,10 @@ TEST(TimeSeriesRegistry, ExportsAreByteIdenticalAcrossRuns) {
 TEST(TimeSeriesGlobalAttachPoint, SetReturnsPrevious) {
   ASSERT_EQ(timeseries(), nullptr);
   TimeSeriesRegistry reg;
-  EXPECT_EQ(set_timeseries(&reg), nullptr);
-  EXPECT_EQ(timeseries(), &reg);
-  EXPECT_EQ(set_timeseries(nullptr), &reg);
+  {
+    const Attach a{Context{.timeseries = &reg}};
+    EXPECT_EQ(timeseries(), &reg);
+  }
   EXPECT_EQ(timeseries(), nullptr);
 }
 

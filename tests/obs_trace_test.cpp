@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/context.hpp"
+
 namespace sic::obs {
 namespace {
 
@@ -112,9 +114,10 @@ TEST(TraceSink, GlobalAttachPointRoundTrips) {
   ASSERT_EQ(trace(), nullptr);
   std::ostringstream os;
   TraceSink sink{os};
-  EXPECT_EQ(set_trace(&sink), nullptr);
-  EXPECT_EQ(trace(), &sink);
-  EXPECT_EQ(set_trace(nullptr), &sink);
+  {
+    const Attach a{Context{.trace = &sink}};
+    EXPECT_EQ(trace(), &sink);
+  }
   EXPECT_EQ(trace(), nullptr);
 }
 

@@ -6,6 +6,7 @@
 #include "analysis/montecarlo.hpp"
 #include "analysis/parallel.hpp"
 #include "analysis/trace_eval.hpp"
+#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "trace/generator.hpp"
 
@@ -26,9 +27,10 @@ constexpr int kThreadCounts[] = {1, 4, 7};
 template <typename Sweep>
 auto with_counters(const Sweep& sweep) {
   obs::MetricsRegistry reg;
-  obs::MetricsRegistry* previous = obs::set_metrics(&reg);
-  auto samples = sweep();
-  obs::set_metrics(previous);
+  auto samples = [&] {
+    const obs::Attach attach{{.metrics = &reg}};
+    return sweep();
+  }();
   return std::make_pair(std::move(samples), reg.counter_values());
 }
 

@@ -194,6 +194,15 @@ TEST(SicLint, UnitsHeaderIsExemptFromR1) {
   EXPECT_FALSE(lint_file("src/core/foo.cpp", src).empty());
 }
 
+TEST(SicLint, BenchmarkProbeIsExemptFromR1ButTheRestOfPerfbenchIsNot) {
+  const std::string src =
+      "double f(double x) { return std::pow(10.0, -0.1 * x); }\n";
+  EXPECT_TRUE(lint_file("perfbench/probe.cpp", src).empty());
+  const auto findings = lint_file("perfbench/deploy.cpp", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "R1");
+}
+
 TEST(SicLint, ObsAndBenchArePathExemptFromR3) {
   const std::string src = "auto t = std::chrono::system_clock::now();\n";
   EXPECT_TRUE(lint_file("src/obs/scoped_timer.cpp", src).empty());
@@ -328,6 +337,18 @@ TEST(SicLint, R6IgnoresSerialTranslationUnits) {
       "  for (int i = 0; i < n; ++i) { Rng rng(seed); (void)rng; }\n"
       "}\n";
   EXPECT_TRUE(lint_file("src/analysis/serial.cpp", src).empty());
+}
+
+TEST(SicLint, R6TreatsObservedParallelForAsParallel) {
+  const std::string src =
+      "struct Rng { explicit Rng(unsigned long); };\n"
+      "void observed_parallel_for(int n, void (*body)(int));\n"
+      "void run(unsigned long seed, int n) {\n"
+      "  for (int i = 0; i < n; ++i) { Rng rng(seed); (void)rng; }\n"
+      "}\n";
+  const auto findings = lint_file("src/mac/engine.cpp", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_TRUE(has_finding(findings, "R6", 4));
 }
 
 // ---------------------------------------------------------------------------

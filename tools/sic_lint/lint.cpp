@@ -52,9 +52,13 @@ bool r1_applies(std::string_view path) {
   // util/units.hpp is the one blessed home of dB↔linear math, and
   // channel/pathloss.cpp the blessed home of the textbook log-distance law
   // (its operand grouping is pinned by the figure outputs). Tests probe raw
-  // conversions against units.hpp on purpose.
+  // conversions against units.hpp on purpose. perfbench/probe.cpp is a
+  // synthetic host-speed workload, not a dB conversion: its pow(10, x) term
+  // is part of the fixed work kProbeReferenceS is calibrated against, and
+  // the probe may not call src/.
   return !ends_with(path, "util/units.hpp") &&
          !ends_with(path, "channel/pathloss.cpp") &&
+         !ends_with(path, "perfbench/probe.cpp") &&
          !has_dir_component(path, "tests");
 }
 
@@ -288,7 +292,8 @@ struct FileCtx {
   LexedFile lx;
   ScopeInfo scopes;
   std::set<std::string> unordered;  ///< names declared std::unordered_*
-  bool parallel_tu = false;         ///< mentions ParallelRunner/parallel_for
+  /// Mentions ParallelRunner, parallel_for or observed_parallel_for.
+  bool parallel_tu = false;
   Suppressions suppress;
 
   FileCtx(const std::string& p, std::string_view source)
@@ -298,7 +303,8 @@ struct FileCtx {
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::kIdent) continue;
-      if (t.text == "parallel_for" || t.text == "ParallelRunner") {
+      if (t.text == "parallel_for" || t.text == "observed_parallel_for" ||
+          t.text == "ParallelRunner") {
         parallel_tu = true;
       }
       static const std::set<std::string> kUnordered = {

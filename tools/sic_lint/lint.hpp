@@ -12,7 +12,9 @@
 ///       util/units.hpp (it IS the conversion layer) and
 ///       channel/pathloss.cpp (the textbook log-distance law, whose operand
 ///       grouping is pinned by figure outputs). tests/ are exempt: probing
-///       raw conversions against units.hpp is what unit tests are for.
+///       raw conversions against units.hpp is what unit tests are for. So
+///       is perfbench/probe.cpp, a fixed host-speed workload whose pow()
+///       term is calibrated work, not a conversion.
 ///   R2  unit-suffix hygiene: no raw `double` declarations whose identifier
 ///       carries a unit suffix (_db, _dbm, _mw) in headers. Existing debt is
 ///       tracked in a checked-in baseline; new findings and stale baseline
@@ -33,7 +35,8 @@
 ///       additionally rejects include *cycles*, printing the full
 ///       offending path.
 ///   R6  RNG substream discipline: in a translation unit that uses
-///       ParallelRunner / parallel_for, constructing an Rng or calling
+///       ParallelRunner / parallel_for / observed_parallel_for,
+///       constructing an Rng or calling
 ///       .fork() inside a loop body is flagged — substreams must come from
 ///       the counter-based Rng::at(seed, index), which is order- and
 ///       thread-independent.

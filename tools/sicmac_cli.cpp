@@ -522,9 +522,13 @@ int cmd_deploy(const ArgParser& args) {
     // detail that never changes results, and recording it would break the
     // post-mortem's byte-identity-across-thread-counts contract.
     recorder.set_config("seed", std::to_string(config.seed));
-    obs::set_timeseries(&series);
-    obs::set_flight(&recorder);
   }
+  obs::Context observed = obs::context();
+  if (record) {
+    observed.timeseries = &series;
+    observed.flight = &recorder;
+  }
+  const obs::Attach attach{observed};
 
   std::vector<topology::Point> sites;
   for (int a = 0; a < n_aps; ++a) sites.push_back({60.0 * a, 0.0});
@@ -570,8 +574,6 @@ int cmd_deploy(const ArgParser& args) {
     if (recorder.tripped()) write_postmortem();
   }
   if (record) {
-    obs::set_flight(nullptr);
-    obs::set_timeseries(nullptr);
     if (!postmortem_out.empty()) write_postmortem();
     if (!timeseries_out.empty()) {
       std::ofstream os{timeseries_out};
@@ -784,7 +786,6 @@ int main(int argc, char** argv) {
     const std::string metrics_out = args.get_string("metrics-out", "");
     const std::string trace_out = args.get_string("trace-out", "");
     obs::MetricsRegistry registry;
-    if (!metrics_out.empty()) obs::set_metrics(&registry);
     std::ofstream trace_os;
     std::unique_ptr<obs::TraceSink> sink;
     if (!trace_out.empty()) {
@@ -794,9 +795,11 @@ int main(int argc, char** argv) {
                                   trace_out);
       }
       sink = std::make_unique<obs::TraceSink>(trace_os);
-      obs::set_trace(sink.get());
     }
 
+    const obs::Attach attach{obs::Context{
+        .metrics = metrics_out.empty() ? nullptr : &registry,
+        .trace = sink.get()}};
     int rc = 0;
     if (cmd == "pair") {
       rc = cmd_pair(args);
@@ -826,14 +829,12 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (sink) {
-      obs::set_trace(nullptr);
       sink->flush();
       std::fprintf(stderr, "wrote %llu trace events to %s\n",
                    static_cast<unsigned long long>(sink->events_written()),
                    trace_out.c_str());
     }
     if (!metrics_out.empty()) {
-      obs::set_metrics(nullptr);
       std::ofstream ms{metrics_out};
       if (!ms) {
         throw trace::TraceIoError("cannot open metrics file for write: " +
